@@ -23,10 +23,10 @@ cloud::IoConfig pvfs(int servers, storage::DeviceType dev,
 }
 
 io::RunResult run(const io::Workload& w, const cloud::IoConfig& c,
-                  double failures_per_hour = 0.0) {
+                  double outages_per_hour = 0.0) {
   io::RunOptions o;
   o.seed = 17;
-  o.failures_per_hour = failures_per_hour;
+  o.fault_model.outages_per_hour = outages_per_hour;
   return io::run_workload(w, c, o);
 }
 
@@ -109,7 +109,7 @@ void obs5_failures_matter() {
   const auto cfg = pvfs(2, storage::DeviceType::kEphemeral,
                         cloud::Placement::kDedicated);
   const auto calm = run(w, cfg, 0.0);
-  const auto stormy = run(w, cfg, /*failures_per_hour=*/120.0);
+  const auto stormy = run(w, cfg, /*outages_per_hour=*/120.0);
   std::printf(
       "[obs 5] FLASHIO-64 with transient outages: %.1fs -> %.1fs "
       "(+%.0f%%); production runs must tolerate lost connections\n",

@@ -1,16 +1,21 @@
-// Concurrent ACIC query server — the production-shaped front end over
+// ACIC query server — the production-shaped front end over
 // acic::service::QueryService.  Two transports:
 //
 //  * stdin/stdout (default): protocol lines are read until EOF or
-//    "quit", answered in parallel batches (QueryService::serve).
-//  * --listen host:port: the acic::net epoll front end — framed
-//    requests over TCP with backpressure, idle deadlines, bounded
-//    dispatch, and graceful drain (see src/acic/net/server.hpp).
+//    "quit"/"exit" and answered one at a time, in order — the
+//    interactive and scripted front end ('help' lists the verbs).
+//  * --listen host:port: the acic::net epoll front end — concurrent
+//    framed requests over TCP with backpressure, idle deadlines,
+//    bounded dispatch, and graceful drain (see src/acic/net/server.hpp).
 //    bench/acic_slap is the matching load generator.
+//
+// With a CSV argument the service answers from that shared database
+// (e.g. the artifact written by example_crowdsourced_training); without
+// one it bootstraps a fresh database on the simulated cloud.
 //
 // Usage:
 //   example_acic_serve [training_db.csv] [--listen host:port]
-//                      [--threads N] [--batch N] [--max-inflight N]
+//                      [--threads N] [--max-inflight N]
 //                      [--deadline-us X] [--idle-ms N] [--drain-ms N]
 //                      [--max-conns N] [--net-queue N] [--quick]
 //                      [--demo] [--help]
@@ -21,22 +26,28 @@
 // --listen mode the clock starts when the frame arrives, so queue wait
 // counts.  --quick skips PB screening and model training (identity
 // ranking, empty database → fallback answers) so smoke tests and the CI
-// loopback job start in milliseconds instead of minutes.
+// loopback job start in milliseconds instead of minutes.  --demo answers
+// a mixed burst of concurrent requests across --threads workers.
+// Numeric flags fail closed: a malformed, negative or out-of-range value
+// exits 1 with an error naming the flag, before any screening runs.
 //
 // Signals: SIGPIPE is ignored (a dead peer must not kill the server);
 // SIGINT/SIGTERM route into the drain path — in --listen mode the
 // listener closes, in-flight requests finish under the drain deadline,
 // and the process exits 0; in stdin mode the blocking read is
-// interrupted, the final batch is flushed, and the process exits 0.
+// interrupted and the process exits 0.
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "acic/common/error.hpp"
+#include "acic/common/parallel.hpp"
 #include "acic/core/ranking.hpp"
 #include "acic/net/server.hpp"
 #include "acic/obs/metrics.hpp"
@@ -48,15 +59,16 @@ namespace {
 void print_usage() {
   std::printf(
       "usage: example_acic_serve [training_db.csv] [--listen host:port]\n"
-      "                          [--threads N] [--batch N]\n"
+      "                          [--threads N]\n"
       "                          [--max-inflight N] [--deadline-us X]\n"
       "                          [--idle-ms N] [--drain-ms N]\n"
       "                          [--max-conns N] [--net-queue N]\n"
       "                          [--learner NAME[,NAME...]]\n"
       "                          [--quick] [--demo] [--help]\n"
-      "  Serves the line-oriented ACIC query protocol from stdin across a\n"
-      "  thread pool; 'help' on the stream lists the protocol verbs.\n"
-      "  --listen host:port  framed-TCP front end instead of stdin\n"
+      "  Answers the line-oriented ACIC query protocol from stdin, one\n"
+      "  line at a time; 'help' on the stream lists the protocol verbs.\n"
+      "  --listen host:port  concurrent framed-TCP front end instead\n"
+      "  --threads N       net workers / --demo threads (0 = hardware)\n"
       "  --max-inflight N  shed requests beyond N in flight (0 = off)\n"
       "  --deadline-us X   per-request deadline incl. queue wait (0 = off)\n"
       "  --idle-ms N       net: idle/slow-loris/write-stall deadline\n"
@@ -80,8 +92,7 @@ void print_usage() {
 // Signal routing: handlers may only touch async-signal-safe state.  In
 // --listen mode they forward into Server::request_drain() (an atomic
 // store plus send() on the wake socketpair); in stdin mode the unblocked
-// read returns EINTR, std::getline fails, and serve() flushes the final
-// batch on its way out.
+// read returns EINTR and std::getline fails, ending the read loop.
 std::sig_atomic_t g_stop_requested = 0;
 acic::net::Server* g_server = nullptr;
 
@@ -112,69 +123,117 @@ acic::core::PbRankingResult identity_ranking() {
   return r;
 }
 
+/// A count flag's value: digits only (service::parse_count), and no
+/// larger than `max`.  Throws acic::Error naming the flag.
+std::size_t count_flag(const std::string& flag, const std::string& text,
+                       std::size_t max) {
+  const std::size_t value = acic::service::parse_count(flag, text);
+  if (value > max) {
+    throw acic::Error(flag + " must be at most " + std::to_string(max) +
+                      ", got '" + text + "'");
+  }
+  return value;
+}
+
+/// --deadline-us: a finite, non-negative number of microseconds.
+double deadline_flag(const std::string& text) {
+  std::size_t used = 0;
+  double value = -1.0;
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || !std::isfinite(value) ||
+      value < 0.0) {
+    throw acic::Error(
+        "--deadline-us must be a finite, non-negative number, got '" + text +
+        "'");
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace acic;
 
   std::string db_path;
-  std::string listen_spec;
+  bool listen = false;
   unsigned threads = 0;  // hardware concurrency
-  std::size_t batch = 64;
   bool demo = false;
   bool quick = false;
   service::ServiceOptions service_options;
   net::ServerOptions net_options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      return 0;
-    } else if (arg == "--demo") {
-      demo = true;
-    } else if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--listen" && i + 1 < argc) {
-      listen_spec = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batch = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--max-inflight" && i + 1 < argc) {
-      service_options.max_in_flight =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--deadline-us" && i + 1 < argc) {
-      service_options.deadline_us = std::atof(argv[++i]);
-    } else if (arg == "--idle-ms" && i + 1 < argc) {
-      net_options.idle_timeout_ms = std::atol(argv[++i]);
-    } else if (arg == "--drain-ms" && i + 1 < argc) {
-      net_options.drain_timeout_ms = std::atol(argv[++i]);
-    } else if (arg == "--max-conns" && i + 1 < argc) {
-      net_options.max_connections =
-          static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--net-queue" && i + 1 < argc) {
-      net_options.max_queue_depth =
-          static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--learner" && i + 1 < argc) {
-      service_options.learners.clear();
-      std::string names = argv[++i];
-      std::size_t start = 0;
-      while (start <= names.size()) {
-        const std::size_t comma = names.find(',', start);
-        const std::string name =
-            names.substr(start, comma == std::string::npos ? std::string::npos
-                                                           : comma - start);
-        if (!name.empty()) service_options.learners.push_back(name);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+  constexpr auto kMaxMs =
+      static_cast<std::size_t>(std::numeric_limits<long>::max());
+  constexpr auto kMaxSize = std::numeric_limits<std::size_t>::max();
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw Error(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
+        return 0;
+      } else if (arg == "--demo") {
+        demo = true;
+      } else if (arg == "--quick") {
+        quick = true;
+      } else if (arg == "--listen") {
+        const std::string spec = value();
+        const auto colon = spec.rfind(':');
+        if (colon == std::string::npos) {
+          throw Error("--listen expects host:port, got '" + spec + "'");
+        }
+        net_options.host = spec.substr(0, colon);
+        net_options.port = static_cast<std::uint16_t>(
+            count_flag("--listen port", spec.substr(colon + 1), 65535));
+        listen = true;
+      } else if (arg == "--threads") {
+        // Beyond this a worker count is a typo, not a machine.
+        threads = static_cast<unsigned>(count_flag(arg, value(), 1024));
+      } else if (arg == "--max-inflight") {
+        service_options.max_in_flight = count_flag(arg, value(), kMaxSize);
+      } else if (arg == "--deadline-us") {
+        service_options.deadline_us = deadline_flag(value());
+      } else if (arg == "--idle-ms") {
+        net_options.idle_timeout_ms =
+            static_cast<long>(count_flag(arg, value(), kMaxMs));
+      } else if (arg == "--drain-ms") {
+        net_options.drain_timeout_ms =
+            static_cast<long>(count_flag(arg, value(), kMaxMs));
+      } else if (arg == "--max-conns") {
+        net_options.max_connections = count_flag(arg, value(), kMaxSize);
+      } else if (arg == "--net-queue") {
+        net_options.max_queue_depth = count_flag(arg, value(), kMaxSize);
+      } else if (arg == "--learner") {
+        service_options.learners.clear();
+        const std::string names = value();
+        std::size_t start = 0;
+        while (start <= names.size()) {
+          const std::size_t comma = names.find(',', start);
+          const std::string name = names.substr(
+              start,
+              comma == std::string::npos ? std::string::npos : comma - start);
+          if (!name.empty()) service_options.learners.push_back(name);
+          if (comma == std::string::npos) break;
+          start = comma + 1;
+        }
+        if (service_options.learners.empty()) {
+          throw Error("--learner needs at least one name");
+        }
+      } else if (arg.rfind("--", 0) == 0) {
+        throw Error("unknown flag " + arg + " (try --help)");
+      } else {
+        db_path = arg;
       }
-      if (service_options.learners.empty()) {
-        std::fprintf(stderr, "error: --learner needs at least one name\n");
-        return 1;
-      }
-    } else {
-      db_path = arg;
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   net_options.workers = threads;
 
@@ -191,7 +250,12 @@ int main(int argc, char** argv) {
 
   core::TrainingDatabase db;
   if (!db_path.empty()) {
-    db = core::TrainingDatabase::load(db_path);
+    try {
+      db = core::TrainingDatabase::load(db_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s: %s\n", db_path.c_str(), e.what());
+      return 1;
+    }
     std::fprintf(stderr, "[serve] loaded %zu shared samples from %s\n",
                  db.size(), db_path.c_str());
   } else if (quick) {
@@ -227,7 +291,7 @@ int main(int argc, char** argv) {
 
   if (demo) {
     // A mixed burst of concurrent clients: the same requests a load
-    // balancer would fan in, answered as one parallel batch.
+    // balancer would fan in, answered across `threads` workers.
     const std::vector<std::string> burst = {
         "recommend objective=performance top_k=3 np=256 io_procs=256 "
         "interface=MPI-IO iterations=40 data=4MiB request=4MiB op=write "
@@ -244,7 +308,11 @@ int main(int argc, char** argv) {
     for (int repeat = 0; repeat < 8; ++repeat) {
       requests.insert(requests.end(), burst.begin(), burst.end());
     }
-    const auto responses = service->handle_batch(requests, threads);
+    std::vector<std::string> responses(requests.size());
+    parallel_for(
+        requests.size(),
+        [&](std::size_t i) { responses[i] = service->handle(requests[i]); },
+        threads);
     for (std::size_t i = 0; i < burst.size(); ++i) {
       std::printf("> %s\n%s", requests[i].c_str(), responses[i].c_str());
     }
@@ -252,16 +320,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!listen_spec.empty()) {
-    const auto colon = listen_spec.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "error: --listen expects host:port, got %s\n",
-                   listen_spec.c_str());
-      return 1;
-    }
-    net_options.host = listen_spec.substr(0, colon);
-    net_options.port = static_cast<std::uint16_t>(
-        std::atoi(listen_spec.c_str() + colon + 1));
+  if (listen) {
     try {
       net::Server server(net_options, [&service](const net::Request& req) {
         return service->handle(req.line, req.received_at);
@@ -286,10 +345,16 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "[serve] ready — protocol lines on stdin.\n");
-  const std::size_t served = service->serve(std::cin, std::cout, threads,
-                                           batch);
+  std::size_t served = 0;
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    if (line == "quit" || line == "exit") break;
+    if (line.empty()) continue;
+    std::cout << service->handle(line) << std::flush;
+    ++served;
+  }
   if (g_stop_requested) {
-    std::fprintf(stderr, "[serve] stop signal: final batch flushed.\n");
+    std::fprintf(stderr, "[serve] stop signal: stopped reading stdin.\n");
   }
   std::fprintf(stderr, "[serve] served %zu requests; final metrics:\n%s",
                served,

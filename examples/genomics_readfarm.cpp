@@ -15,6 +15,7 @@
 #include "acic/core/walker.hpp"
 #include "acic/exec/executor.hpp"
 #include "acic/io/runner.hpp"
+#include "acic/ior/ior.hpp"
 
 int main() {
   using namespace acic;
@@ -30,14 +31,25 @@ int main() {
     const auto traits = apps::mpiblast(workers);
     for (auto objective :
          {core::Objective::kPerformance, core::Objective::kCost}) {
-      // Probe = run an mpiBLAST-shaped job on the candidate; the walker
-      // pays for each *fresh* probe, so the engine-backed probe (keyed
-      // by canonical RunKey) makes the cost walk reuse everything the
-      // performance walk already simulated.
-      core::SpaceWalker::ExecProbe probe;
-      probe.workload = traits;
-      probe.options.seed = 13;
-      probe.objective = objective;
+      // Probe = run an mpiBLAST-shaped job on the candidate through the
+      // execution engine.  The walker pays for each *fresh* simulation:
+      // probes are keyed by canonical RunKey, so the cost walk reuses
+      // everything the performance walk already simulated.
+      int fresh = 0;
+      const core::SpaceWalker::Probe probe =
+          [&](const cloud::IoConfig& config) {
+            io::RunOptions options;
+            options.seed = 13;
+            exec::RunInfo info;
+            const auto r =
+                ior::run_ior(traits, config, options, nullptr, &info);
+            if (info.source == exec::RunSource::kExecuted ||
+                info.source == exec::RunSource::kUncacheable) {
+              ++fresh;
+            }
+            return objective == core::Objective::kCost ? r.cost
+                                                       : r.total_time;
+          };
       const auto walk =
           core::SpaceWalker::walk_converged(probe, order, /*max_passes=*/3);
       const auto final_run = exec::Executor::global().run(
@@ -45,7 +57,7 @@ int main() {
       table.add_row({std::to_string(workers), core::to_string(objective),
                      walk.best.label(), format_time(final_run.total_time),
                      format_money(final_run.cost),
-                     std::to_string(walk.probes)});
+                     std::to_string(fresh)});
     }
   }
   std::printf("\nmpiBLAST-style read-farm sizing via PB-guided walking\n\n%s",

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
         // after this one still override individual knobs.
         opts.fault_model = plugin::fault_models().lookup(arg.substr(8)).model;
       } else if (arg.rfind("--failures=", 0) == 0) {
-        opts.failures_per_hour = std::stod(arg.substr(11));
+        opts.fault_model.outages_per_hour = std::stod(arg.substr(11));
       } else if (arg.rfind("--brownouts=", 0) == 0) {
         opts.fault_model.brownouts_per_hour = std::stod(arg.substr(12));
       } else if (arg.rfind("--brownout-fraction=", 0) == 0) {

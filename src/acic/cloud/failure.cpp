@@ -148,17 +148,6 @@ void FailureInjector::inject(const FaultSpec& spec) {
   ++faults_injected_;
 }
 
-void FailureInjector::inject(Target target, int server, SimTime at,
-                             SimTime duration) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kOutage;
-  spec.server = server;
-  spec.at = at;
-  spec.duration = duration;
-  spec.hit_nic = target == Target::kServerNic;
-  inject(spec);
-}
-
 void FailureInjector::inject_correlated(SimTime at, SimTime duration,
                                         bool hit_nic) {
   for (int server = 0; server < cluster_.num_io_servers(); ++server) {
@@ -256,17 +245,6 @@ void FailureInjector::inject_random(Rng& rng, const FaultModel& model,
         spec.notice = model.preemption_notice;
         inject(spec);
       });
-}
-
-void FailureInjector::inject_random(Rng& rng, double outages_per_hour,
-                                    SimTime horizon, SimTime min_duration,
-                                    SimTime max_duration) {
-  ACIC_CHECK(outages_per_hour >= 0.0);
-  FaultModel model;
-  model.outages_per_hour = outages_per_hour;
-  model.min_duration = min_duration;
-  model.max_duration = max_duration;
-  inject_random(rng, model, horizon);
 }
 
 std::size_t FailureInjector::cancel_pending() {

@@ -40,10 +40,4 @@ const char* to_string(InstanceType type) {
   return instance_spec(type).name.c_str();
 }
 
-InstanceType instance_type_from_string(const std::string& s) {
-  if (s == "cc1.4xlarge") return InstanceType::kCc1_4xlarge;
-  if (s == "cc2.8xlarge") return InstanceType::kCc2_8xlarge;
-  throw Error("unknown instance type: " + s);
-}
-
 }  // namespace acic::cloud

@@ -34,6 +34,5 @@ struct InstanceSpec {
 const InstanceSpec& instance_spec(InstanceType type);
 
 const char* to_string(InstanceType type);
-InstanceType instance_type_from_string(const std::string& s);
 
 }  // namespace acic::cloud

@@ -7,12 +7,6 @@
 
 namespace acic::cloud {
 
-const char* to_string(FileSystemType fs) {
-  // The registry's map nodes are address-stable, so the c_str() stays
-  // valid for the process lifetime (same contract as the old literals).
-  return plugin::filesystem_for(fs).display_name.c_str();
-}
-
 const char* to_string(Placement p) {
   switch (p) {
     case Placement::kPartTime:
@@ -21,17 +15,6 @@ const char* to_string(Placement p) {
       return "dedicated";
   }
   return "?";
-}
-
-FileSystemType fs_from_string(const std::string& s) {
-  // Throws plugin::PluginError listing the registered names.
-  return plugin::filesystem_named(s).type;
-}
-
-Placement placement_from_string(const std::string& s) {
-  if (s == "part-time" || s == "P") return Placement::kPartTime;
-  if (s == "dedicated" || s == "D") return Placement::kDedicated;
-  throw Error("unknown placement: " + s);
 }
 
 bool IoConfig::valid() const {
@@ -119,7 +102,7 @@ std::vector<IoConfig> enumerate_over(
   const InstanceType instances[] = {InstanceType::kCc1_4xlarge,
                                     InstanceType::kCc2_8xlarge};
   const Placement placements[] = {Placement::kPartTime, Placement::kDedicated};
-  // Default-grid substrates in point_id order (NFS before PVFS2) with
+  // Default-grid substrates in level order (NFS before PVFS2) with
   // their declared knob grids reproduce the seed 56-candidate order
   // byte for byte (guarded by the golden-RunKey regression).
   const auto grid = plugin::default_grid_filesystems();

@@ -26,10 +26,7 @@ enum class Placement {
   kDedicated,  ///< I/O servers run on their own (billed) instances.
 };
 
-const char* to_string(FileSystemType fs);
 const char* to_string(Placement p);
-FileSystemType fs_from_string(const std::string& s);
-Placement placement_from_string(const std::string& s);
 
 /// One point in the system-side configuration space.
 struct IoConfig {

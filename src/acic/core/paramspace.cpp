@@ -37,9 +37,9 @@ std::vector<double> grid_knob_values(const char* knob_name) {
 std::vector<double> grid_filesystem_levels() {
   std::vector<double> out;
   for (const auto* fs : plugin::default_grid_filesystems()) {
-    out.push_back(fs->point_id);
+    out.push_back(fs->level());
   }
-  return out;  // already point_id-sorted
+  return out;  // already level-sorted
 }
 
 }  // namespace
@@ -144,7 +144,7 @@ cloud::IoConfig ParamSpace::config_of(const Point& p) {
                  ? storage::DeviceType::kEbs
                  : (p[kDevice] < 1.5 ? storage::DeviceType::kEphemeral
                                      : storage::DeviceType::kSsd);
-  // Level → substrate via nearest registered point_id (0 = NFS,
+  // Level → substrate via nearest registered level (0 = NFS,
   // 1 = PVFS2, 2 = Lustre for the seeds; see ValueOverrides).
   c.fs = plugin::filesystem_for_level(p[kFileSystem]).type;
   c.instance = p[kInstanceType] < 0.5 ? cloud::InstanceType::kCc1_4xlarge
@@ -196,7 +196,7 @@ Point ParamSpace::encode(const cloud::IoConfig& config,
       break;
   }
   const auto& substrate = plugin::filesystem_for(config.fs);
-  p[kFileSystem] = substrate.point_id;
+  p[kFileSystem] = substrate.level();
   p[kInstanceType] =
       config.instance == cloud::InstanceType::kCc1_4xlarge ? 0 : 1;
   p[kIoServers] = config.io_servers;

@@ -1,6 +1,7 @@
 #include "acic/core/training.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -56,16 +57,45 @@ ml::Dataset TrainingDatabase::to_dataset(Objective objective) const {
   return data;
 }
 
-CsvTable TrainingDatabase::to_csv() const {
-  CsvTable t;
+namespace {
+
+/// The training CSV's one layout: the 15 dimension names, the four
+/// measurements, then sequence and the three provenance columns.
+std::vector<std::string> csv_header() {
+  std::vector<std::string> header;
   for (const auto& d : ParamSpace::dimensions()) {
     std::string name = d.name;
     std::replace(name.begin(), name.end(), ' ', '_');
-    t.header.push_back(name);
+    header.push_back(name);
   }
-  t.header.insert(t.header.end(),
-                  {"time", "cost", "baseline_time", "baseline_cost",
-                   "sequence", "repeats", "rejected", "retries"});
+  header.insert(header.end(),
+                {"time", "cost", "baseline_time", "baseline_cost",
+                 "sequence", "repeats", "rejected", "retries"});
+  return header;
+}
+
+/// Parses one whole CSV cell.  std::stod/std::stoi stop at the first bad
+/// character, so "50junk" would load as 50 and a repeats cell "3.9" as 3;
+/// a cell is corrupt unless the number spans all of it.
+template <typename T>
+T parse_cell(const CsvTable& table, std::size_t row_number, std::size_t col) {
+  const std::string& cell = table.rows[row_number - 1][col];
+  const char* end = cell.data() + cell.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(cell.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw Error("training CSV row " + std::to_string(row_number) +
+                " has a malformed numeric field '" + cell + "' in column '" +
+                table.header[col] + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
+CsvTable TrainingDatabase::to_csv() const {
+  CsvTable t;
+  t.header = csv_header();
   for (const auto& s : samples_) {
     std::vector<std::string> row;
     char buf[64];
@@ -87,40 +117,30 @@ CsvTable TrainingDatabase::to_csv() const {
 }
 
 TrainingDatabase TrainingDatabase::from_csv(const CsvTable& table) {
+  // The header must be exactly the one to_csv() writes: a file whose
+  // columns are missing, reordered or renamed would otherwise load its
+  // values into the wrong fields.
+  const std::vector<std::string> expected = csv_header();
+  ACIC_CHECK_MSG(table.header == expected,
+                 "training CSV header does not match the "
+                     << expected.size() << "-column layout");
   TrainingDatabase db;
-  // Two accepted arities: the legacy layout (measurements only) and the
-  // provenance layout with repeats/rejected/retries appended.  Legacy
-  // databases keep loading unchanged; their provenance defaults to one
-  // clean single-shot measurement per row.
-  const bool provenance = table.header.size() ==
-                          static_cast<std::size_t>(kNumDims) + 8;
-  ACIC_CHECK_MSG(provenance || table.header.size() ==
-                                   static_cast<std::size_t>(kNumDims) + 5,
-                 "unexpected training CSV header arity");
-  std::size_t row_number = 0;
-  for (const auto& row : table.rows) {
-    ++row_number;
+  for (std::size_t r = 1; r <= table.rows.size(); ++r) {
+    ACIC_CHECK_MSG(table.rows[r - 1].size() == expected.size(),
+                   "training CSV row " << r << " has the wrong arity");
+    const auto dims = static_cast<std::size_t>(kNumDims);
     TrainingSample s;
-    try {
-      for (int d = 0; d < kNumDims; ++d) {
-        s.point[static_cast<std::size_t>(d)] =
-            std::stod(row[static_cast<std::size_t>(d)]);
-      }
-      s.time = std::stod(row[kNumDims + 0]);
-      s.cost = std::stod(row[kNumDims + 1]);
-      s.baseline_time = std::stod(row[kNumDims + 2]);
-      s.baseline_cost = std::stod(row[kNumDims + 3]);
-      if (provenance) {
-        s.repeats = std::stoi(row[kNumDims + 5]);
-        s.rejected = std::stoi(row[kNumDims + 6]);
-        s.retries = std::stoi(row[kNumDims + 7]);
-      }
-    } catch (const std::logic_error&) {
-      // std::stod's bare "stod" message names neither the row nor the
-      // cell; rewrap so a corrupt shared database is diagnosable.
-      throw Error("training CSV row " + std::to_string(row_number) +
-                  " has a malformed numeric field");
+    for (std::size_t d = 0; d < dims; ++d) {
+      s.point[d] = parse_cell<double>(table, r, d);
     }
+    s.time = parse_cell<double>(table, r, dims + 0);
+    s.cost = parse_cell<double>(table, r, dims + 1);
+    s.baseline_time = parse_cell<double>(table, r, dims + 2);
+    s.baseline_cost = parse_cell<double>(table, r, dims + 3);
+    parse_cell<std::uint64_t>(table, r, dims + 4);  // insert() renumbers
+    s.repeats = parse_cell<int>(table, r, dims + 5);
+    s.rejected = parse_cell<int>(table, r, dims + 6);
+    s.retries = parse_cell<int>(table, r, dims + 7);
     db.insert(s);  // rejects non-positive measurements (see above)
   }
   return db;

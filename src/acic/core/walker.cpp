@@ -6,8 +6,6 @@
 
 #include "acic/common/error.hpp"
 #include "acic/core/predictor.hpp"
-#include "acic/exec/executor.hpp"
-#include "acic/ior/ior.hpp"
 #include "acic/obs/metrics.hpp"
 
 namespace acic::core {
@@ -59,37 +57,6 @@ std::pair<Point, double> greedy_pass(Measure&& measure, Point start,
   return {current, best};
 }
 
-/// The shared coordinate-descent driver: greedy passes from the baseline
-/// until converged (or `max_passes`).  `measure` owns caching and probe
-/// accounting; `cache_hits` is read after the walk (the caller's measure
-/// keeps tallying into it while passes run).
-template <typename Measure>
-void converged_walk(Measure&& measure, const std::vector<Dim>& order,
-                    int max_passes, SpaceWalker::Result& result,
-                    const std::uint64_t& cache_hits) {
-  // s0: the baseline configuration.
-  Point current = ParamSpace::encode(cloud::IoConfig::baseline(),
-                                     ParamSpace::workload_of(default_point()));
-  double best = 0.0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    auto [next, next_best] = greedy_pass(measure, current, order);
-    const bool converged =
-        pass > 0 && ParamSpace::config_of(next).label() ==
-                        ParamSpace::config_of(current).label();
-    current = next;
-    best = next_best;
-    if (converged) break;
-  }
-
-  result.best = ParamSpace::config_of(current);
-  result.best_measure = best;
-
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter("walker.probes").add(static_cast<double>(result.probes));
-  registry.counter("walker.probe_cache_hits")
-      .add(static_cast<double>(cache_hits));
-}
-
 }  // namespace
 
 std::vector<Dim> SpaceWalker::system_dims() {
@@ -136,54 +103,33 @@ SpaceWalker::Result SpaceWalker::walk_converged(const Probe& probe,
     ++result.probes;
     return v;
   };
-  converged_walk(measure, order, max_passes, result, cache_hits);
+
+  // s0: the baseline configuration; greedy passes until converged (or
+  // `max_passes`).
+  Point current = ParamSpace::encode(cloud::IoConfig::baseline(),
+                                     ParamSpace::workload_of(default_point()));
+  double best = 0.0;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    auto [next, next_best] = greedy_pass(measure, current, order);
+    const bool converged =
+        pass > 0 && ParamSpace::config_of(next).label() ==
+                        ParamSpace::config_of(current).label();
+    current = next;
+    best = next_best;
+    if (converged) break;
+  }
+
+  result.best = ParamSpace::config_of(current);
+  result.best_measure = best;
+
+  auto& registry = obs::MetricsRegistry::global();
+  registry.counter("walker.probes").add(static_cast<double>(result.probes));
+  registry.counter("walker.probe_cache_hits")
+      .add(static_cast<double>(cache_hits));
   return result;
 }
 
 SpaceWalker::Result SpaceWalker::random_walk(const Probe& probe, Rng& rng) {
-  auto dims = system_dims();
-  const auto perm = rng.permutation(dims.size());
-  std::vector<Dim> order;
-  order.reserve(dims.size());
-  for (std::size_t i : perm) order.push_back(dims[i]);
-  return walk(probe, order);
-}
-
-SpaceWalker::Result SpaceWalker::walk(const ExecProbe& probe,
-                                      const std::vector<Dim>& order) {
-  return walk_converged(probe, order, /*max_passes=*/1);
-}
-
-SpaceWalker::Result SpaceWalker::walk_converged(const ExecProbe& probe,
-                                                const std::vector<Dim>& order,
-                                                int max_passes) {
-  ACIC_CHECK(!order.empty());
-  ACIC_CHECK(max_passes >= 1);
-
-  Result result;
-  std::uint64_t cache_hits = 0;
-  // No per-walk map here: the engine's canonical RunKey *is* the cache,
-  // so a revisited configuration hits whether it was probed in this
-  // walk, a previous walk, or a training sweep through the same engine.
-  auto measure = [&](const cloud::IoConfig& cfg) {
-    exec::RunInfo info;
-    const auto r =
-        ior::run_ior(probe.workload, cfg, probe.options, probe.executor,
-                     &info);
-    if (info.source == exec::RunSource::kExecuted ||
-        info.source == exec::RunSource::kUncacheable) {
-      ++result.probes;
-    } else {
-      ++cache_hits;
-    }
-    return probe.objective == Objective::kCost ? r.cost : r.total_time;
-  };
-  converged_walk(measure, order, max_passes, result, cache_hits);
-  return result;
-}
-
-SpaceWalker::Result SpaceWalker::random_walk(const ExecProbe& probe,
-                                             Rng& rng) {
   auto dims = system_dims();
   const auto perm = rng.permutation(dims.size());
   std::vector<Dim> order;

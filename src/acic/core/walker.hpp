@@ -16,13 +16,7 @@
 #include "acic/cloud/ioconfig.hpp"
 #include "acic/common/rng.hpp"
 #include "acic/core/paramspace.hpp"
-#include "acic/core/training.hpp"
-#include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
-
-namespace acic::exec {
-class Executor;
-}  // namespace acic::exec
 
 namespace acic::core {
 
@@ -32,21 +26,10 @@ class SpaceWalker {
  public:
   /// Measures one candidate configuration; returns the objective value
   /// (lower is better: seconds or dollars).  In production this runs IOR
-  /// on the cloud; benches pass a simulator probe.
+  /// on the cloud (e.g. ior::run_ior through the execution engine, whose
+  /// RunKey cache dedupes probes across walks); benches pass a simulator
+  /// or synthetic probe.
   using Probe = std::function<double(const cloud::IoConfig&)>;
-
-  /// Engine-backed probe: each measurement is an IOR run shaped like the
-  /// application, routed through the execution engine.  Unlike the
-  /// function Probe (whose cache is a per-walk label map), probes here
-  /// are keyed by canonical exec::RunKey — identical probes dedupe
-  /// *across* walks, and against training sweeps and service queries
-  /// sharing the same executor.
-  struct ExecProbe {
-    io::Workload workload;   ///< probe shape (typically an IorBench build)
-    io::RunOptions options;  ///< seed / jitter / faults for every probe
-    Objective objective = Objective::kPerformance;
-    exec::Executor* executor = nullptr;  ///< nullptr = Executor::global()
-  };
 
   struct Result {
     cloud::IoConfig best = cloud::IoConfig::baseline();
@@ -78,15 +61,6 @@ class SpaceWalker {
 
   /// Random-ordered walk (the control).  Deterministic per seed.
   static Result random_walk(const Probe& probe, Rng& rng);
-
-  /// Engine-backed variants.  Result::probes counts fresh simulations
-  /// only; cache answers of any tier roll into the same
-  /// `walker.probe_cache_hits` counter the legacy overloads use.
-  static Result walk(const ExecProbe& probe, const std::vector<Dim>& order);
-  static Result walk_converged(const ExecProbe& probe,
-                               const std::vector<Dim>& order,
-                               int max_passes = 3);
-  static Result random_walk(const ExecProbe& probe, Rng& rng);
 
   /// Model-driven walk: probes are batch predictions from a trained
   /// model instead of simulations — each dimension's whole value row is

@@ -161,13 +161,9 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
   c.field("o.jitter", options.jitter_sigma);
   c.field("o.watchdog", options.watchdog_sim_time);
 
-  // The legacy failures_per_hour shorthand merges into the fault model
-  // exactly as the runner merges it (the larger rate wins), and inert
-  // sub-blocks are skipped: probabilities that only shape outages cannot
-  // split keys when no outage is ever scheduled.
-  cloud::FaultModel faults = options.fault_model;
-  faults.outages_per_hour =
-      std::max(faults.outages_per_hour, options.failures_per_hour);
+  // Inert fault sub-blocks are skipped: probabilities that only shape
+  // outages cannot split keys when no outage is ever scheduled.
+  const cloud::FaultModel& faults = options.fault_model;
   if (faults.outages_per_hour > 0.0) {
     c.field("f.outages", faults.outages_per_hour);
     c.field("f.correlated", faults.correlated_outage_probability);

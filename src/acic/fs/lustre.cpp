@@ -122,11 +122,9 @@ sim::Task LustreModel::close_file(int rank) { co_await mdt_op(rank, 0.6); }
 ACIC_REGISTER_PLUGIN(lustre_filesystem) {
   acic::plugin::FilesystemPlugin p;
   p.name = "lustre";
-  p.display_name = "Lustre";
   p.label_stem = "lustre";
   p.aliases = {"Lustre"};
   p.type = acic::cloud::FileSystemType::kLustre;
-  p.point_id = 2.0;
   p.single_server = false;
   p.in_default_grid = false;
   p.schema.version = 1;

@@ -142,11 +142,9 @@ sim::Task NfsModel::close_file(int rank) {
 ACIC_REGISTER_PLUGIN(nfs_filesystem) {
   acic::plugin::FilesystemPlugin p;
   p.name = "nfs";
-  p.display_name = "NFS";
   p.label_stem = "nfs";
   p.aliases = {"NFS"};
   p.type = acic::cloud::FileSystemType::kNfs;
-  p.point_id = 0.0;
   p.single_server = true;
   p.in_default_grid = true;
   p.schema.version = 1;

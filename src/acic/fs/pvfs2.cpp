@@ -122,11 +122,9 @@ sim::Task Pvfs2Model::close_file(int rank) { co_await mds_op(rank); }
 ACIC_REGISTER_PLUGIN(pvfs2_filesystem) {
   acic::plugin::FilesystemPlugin p;
   p.name = "pvfs2";
-  p.display_name = "PVFS2";
   p.label_stem = "pvfs";
   p.aliases = {"PVFS2", "pvfs"};
   p.type = acic::cloud::FileSystemType::kPvfs2;
-  p.point_id = 1.0;
   p.single_server = false;
   p.in_default_grid = true;
   p.schema.version = 1;

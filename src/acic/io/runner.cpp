@@ -1,7 +1,5 @@
 #include "acic/io/runner.hpp"
 
-#include <algorithm>
-
 #include "acic/cloud/cluster.hpp"
 #include "acic/cloud/failure.hpp"
 #include "acic/common/error.hpp"
@@ -45,10 +43,7 @@ RunResult run_workload(const Workload& workload,
   auto filesystem = fs::make_filesystem(cluster, options.tuning);
   ParallelIo middleware(cluster, mpi, *filesystem, options.tracer);
 
-  // Merge the legacy outage-rate shorthand into the full fault model.
-  cloud::FaultModel faults = options.fault_model;
-  faults.outages_per_hour =
-      std::max(faults.outages_per_hour, options.failures_per_hour);
+  const cloud::FaultModel& faults = options.fault_model;
 
   cloud::FailureInjector injector(cluster);
   if (faults.any()) {

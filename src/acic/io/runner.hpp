@@ -23,12 +23,9 @@ struct RunOptions {
   std::uint64_t seed = 1;
   /// Multi-tenant capacity jitter (log-normal sigma).
   double jitter_sigma = 0.06;
-  /// Mean transient-outage rate across the job (0 = reliable run).
-  /// Legacy shorthand for fault_model.outages_per_hour; the larger of
-  /// the two wins.
-  double failures_per_hour = 0.0;
-  /// Full fault vocabulary (brownouts, stragglers, correlated outages,
-  /// permanent loss).  All-zero by default.
+  /// Full fault vocabulary (transient and correlated outages, brownouts,
+  /// stragglers, permanent loss, preemptions).  All-zero by default,
+  /// which is a reliable run.
   cloud::FaultModel fault_model;
   /// Job-level watchdog: give up once simulated time would pass this
   /// bound and grade the run `failed`.  0 picks a default (24 h) when

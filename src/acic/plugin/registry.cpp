@@ -25,8 +25,19 @@ namespace {
 std::string describe(ErrorCode code, Kind kind, const std::string& name,
                      const std::vector<std::string>& registered) {
   std::ostringstream os;
-  os << (code == ErrorCode::kDuplicateName ? "duplicate " : "unknown ")
-     << to_string(kind) << " '" << name << "' (registered: ";
+  switch (code) {
+    case ErrorCode::kDuplicateName:
+      os << "duplicate " << to_string(kind) << " '" << name << "'";
+      break;
+    case ErrorCode::kDuplicateType:
+      os << to_string(kind) << " '" << name
+         << "' claims a type another plugin registered";
+      break;
+    case ErrorCode::kUnknownName:
+      os << "unknown " << to_string(kind) << " '" << name << "'";
+      break;
+  }
+  os << " (registered: ";
   if (registered.empty()) {
     os << "none";
   } else {

@@ -14,8 +14,12 @@
 //    lexicographic name order, independent of link order or
 //    registration order, so inventories and protocol responses are
 //    reproducible across builds.
-//  * Typed errors, never aborts — a duplicate name or an unknown
-//    lookup throws PluginError (carrying the error code, the plugin
+//  * One identity per plugin — names are unique, and so is the `type`
+//    member of plugin kinds that have one (filesystems: the enum value
+//    every IoConfig and RunKey carries), so one plugin can never take
+//    over another's configs.
+//  * Typed errors, never aborts — a duplicate name or type, or an unknown
+//    lookup, throws PluginError (carrying the error code, the plugin
 //    kind, the offending name and the registered names), which the
 //    serving path converts into a protocol "error ..." line.  Static
 //    initialisation itself never throws: the registration macro routes
@@ -58,6 +62,7 @@ const char* to_string(Kind kind);
 enum class ErrorCode {
   kDuplicateName,  ///< add() of a name that is already registered
   kUnknownName,    ///< lookup() of a name nobody registered
+  kDuplicateType,  ///< add() of a `type` another plugin already claims
 };
 
 /// Typed registry failure.  The what() message lists the registered
@@ -132,19 +137,29 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Register `plugin` under its `name` member.  Throws PluginError
-  /// (kDuplicateName) when the name is taken; the registry is
-  /// unchanged in that case.
+  /// (kDuplicateName) when the name is taken, or (kDuplicateType) when
+  /// the plugin kind has a `type` member and another plugin already
+  /// claims that type; the registry is unchanged in both cases.
   const Plugin& add(Plugin plugin) ACIC_EXCLUDES(mutex_) {
     ACIC_EXPECTS(!plugin.name.empty(), "plugin needs a non-empty name");
     MutexLock lock(&mutex_);
-    auto [it, inserted] = entries_.try_emplace(plugin.name, std::move(plugin));
-    if (!inserted) {
+    if (entries_.contains(plugin.name)) {
       detail::count_duplicate_registration();
-      throw PluginError(ErrorCode::kDuplicateName, kind_, it->first,
+      throw PluginError(ErrorCode::kDuplicateName, kind_, plugin.name,
                         names_locked());
     }
+    if constexpr (requires { plugin.type; }) {
+      for (const auto& [name, existing] : entries_) {
+        if (existing.type == plugin.type) {
+          detail::count_duplicate_registration();
+          throw PluginError(ErrorCode::kDuplicateType, kind_, plugin.name,
+                            names_locked());
+        }
+      }
+    }
+    const std::string name = plugin.name;
     detail::count_registration();
-    return it->second;
+    return entries_.emplace(name, std::move(plugin)).first->second;
   }
 
   /// The plugin registered under `name`.  Throws PluginError

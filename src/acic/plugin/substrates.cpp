@@ -7,7 +7,7 @@
 namespace acic::plugin {
 
 bool FilesystemPlugin::matches(std::string_view spelling) const {
-  if (spelling == name || spelling == display_name) return true;
+  if (spelling == name) return true;
   return std::find(aliases.begin(), aliases.end(), spelling) != aliases.end();
 }
 
@@ -41,7 +41,7 @@ const FilesystemPlugin& filesystem_for_level(double level) {
   const FilesystemPlugin* best = nullptr;
   double best_distance = 0.0;
   for (const FilesystemPlugin* p : filesystems().all()) {
-    const double distance = std::abs(p->point_id - level);
+    const double distance = std::abs(p->level() - level);
     if (best == nullptr || distance < best_distance) {
       best = p;
       best_distance = distance;
@@ -71,7 +71,7 @@ std::vector<const FilesystemPlugin*> default_grid_filesystems() {
   }
   std::sort(grid.begin(), grid.end(),
             [](const FilesystemPlugin* a, const FilesystemPlugin* b) {
-              return a->point_id < b->point_id;
+              return a->type < b->type;
             });
   return grid;
 }

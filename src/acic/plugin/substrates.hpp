@@ -1,6 +1,6 @@
 // The four substrate axes behind the plugin registry (DESIGN.md §14):
 // concrete plugin types, the process-wide registries holding them, and
-// the enum→plugin bridges the legacy call sites canonicalise through.
+// the enum→plugin bridges from IoConfig::fs (cloud::FileSystemType).
 //
 // Adding a substrate is one self-contained .cpp (see the README
 // "Adding a substrate" quickstart): fill in the plugin struct, declare
@@ -38,17 +38,16 @@ struct FilesystemPlugin {
   /// Canonical lowercase name ("nfs", "pvfs2", "lustre") — the
   /// registry key and the protocol spelling.
   std::string name;
-  /// Display spelling, e.g. "PVFS2" (cloud::to_string compat).
-  std::string display_name;
   /// Label prefix for IoConfig::label(), e.g. "pvfs" in "pvfs.4.D.eph".
   std::string label_stem;
-  /// Additional accepted spellings for fs_from_string().
+  /// Additional accepted spellings for filesystem_named(), e.g. the
+  /// display spelling "PVFS2".
   std::vector<std::string> aliases;
-  /// The legacy enum value this plugin canonicalises to/from.
+  /// The filesystem's one numeric identity: IoConfig::fs, the integer
+  /// every RunKey hashes, and the kFileSystem paramspace level (the CART
+  /// feature; 0 = NFS, 1 = PVFS2, 2 = Lustre for the seeds).  Unique per
+  /// registry: a second plugin claiming a registered type is rejected.
   cloud::FileSystemType type = cloud::FileSystemType::kNfs;
-  /// Numeric level of the kFileSystem paramspace dimension (the CART
-  /// feature encoding; 0 = NFS, 1 = PVFS2, 2 = Lustre for the seeds).
-  double point_id = 0.0;
   /// NFS-style topology: exactly one server, no striping.  Drives the
   /// validity rules, label shape, and RunKey stripe canonicalization.
   bool single_server = false;
@@ -63,8 +62,11 @@ struct FilesystemPlugin {
                                                 const fs::FsTuning&)>
       make;
 
-  /// True when `spelling` is the name, display name, or an alias.
+  /// True when `spelling` is the name or an alias.
   bool matches(std::string_view spelling) const;
+
+  /// The kFileSystem paramspace level: `type`'s integer.
+  double level() const { return static_cast<double>(type); }
 
   /// Point `config` at this substrate, applying the structural rules:
   /// a single-server system forces one server and no stripe; a striped
@@ -76,19 +78,18 @@ struct FilesystemPlugin {
 /// Process-wide filesystem registry (seeded by fs/{nfs,pvfs2,lustre}.cpp).
 Registry<FilesystemPlugin>& filesystems();
 
-/// Enum→plugin bridge for legacy call sites and the RunKey shim.
+/// Enum→plugin bridge: the plugin registered with this `type`.
 const FilesystemPlugin& filesystem_for(cloud::FileSystemType type);
 
-/// Paramspace-level→plugin bridge: nearest registered point_id (the
+/// Paramspace-level→plugin bridge: nearest registered level() (the
 /// same snapping rule ParamSpace::repaired applies to every dimension).
 const FilesystemPlugin& filesystem_for_level(double level);
 
 /// Name/alias→plugin parse; throws PluginError listing the registered
-/// names on a miss (the typed error behind fs_from_string and the
-/// service's fs= key).
+/// names on a miss (the typed error behind the service's fs= key).
 const FilesystemPlugin& filesystem_named(std::string_view spelling);
 
-/// Default-grid substrates in point_id order — the iteration order of
+/// Default-grid substrates in level() order — the iteration order of
 /// IoConfig::enumerate_candidates(), which must stay byte-stable.
 std::vector<const FilesystemPlugin*> default_grid_filesystems();
 

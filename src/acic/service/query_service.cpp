@@ -4,14 +4,11 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <sstream>
 
 #include "acic/common/error.hpp"
-#include "acic/common/parallel.hpp"
 #include "acic/exec/executor.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/plugin/substrates.hpp"
@@ -284,10 +281,6 @@ const QueryService::VerbMetrics& QueryService::metrics_for(
   return other_metrics_;
 }
 
-std::string QueryService::handle(const std::string& request_line) {
-  return handle(request_line, std::chrono::steady_clock::now());
-}
-
 std::string QueryService::handle(
     const std::string& request_line,
     std::chrono::steady_clock::time_point admitted_at) {
@@ -370,47 +363,6 @@ std::string QueryService::dispatch(const std::string& verb,
     errors_->inc();
     return std::string("error ") + e.what() + "\n";
   }
-}
-
-std::vector<std::string> QueryService::handle_batch(
-    const std::vector<std::string>& request_lines, unsigned threads) {
-  std::vector<std::string> responses(request_lines.size());
-  parallel_for(
-      request_lines.size(),
-      [&](std::size_t i) { responses[i] = handle(request_lines[i]); },
-      threads);
-  return responses;
-}
-
-std::size_t QueryService::serve(std::istream& in, std::ostream& out,
-                                unsigned threads, std::size_t batch_size) {
-  if (batch_size == 0) batch_size = 1;
-  std::size_t served = 0;
-  std::vector<std::string> batch;
-  std::string line;
-  bool stop = false;
-  while (!stop) {
-    batch.clear();
-    while (batch.size() < batch_size) {
-      if (!std::getline(in, line)) {
-        stop = true;
-        break;
-      }
-      if (line == "quit" || line == "exit") {
-        stop = true;
-        break;
-      }
-      if (line.empty()) continue;
-      batch.push_back(line);
-    }
-    if (batch.empty()) continue;
-    for (const auto& response : handle_batch(batch, threads)) {
-      out << response;
-    }
-    out.flush();
-    served += batch.size();
-  }
-  return served;
 }
 
 std::string QueryService::handle_recommend(const Engine& engine,

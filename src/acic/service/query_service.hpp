@@ -52,7 +52,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
@@ -113,32 +112,20 @@ class QueryService {
 
   /// Handle one protocol line; never throws — malformed input yields an
   /// "error ..." response.  Safe to call from any number of threads
-  /// concurrently, including while `update_database()` swaps snapshots.
-  std::string handle(const std::string& request_line);
-
-  /// Same, with the deadline clock started at `admitted_at` instead of
-  /// at entry — a network front end passes the frame-arrival time so
-  /// queue wait counts against `deadline_us`.  The deadline is enforced
-  /// on both sides of the verb dispatch: a request that is already over
-  /// budget when it reaches compute is answered `timeout ... phase=queue`
-  /// without doing the work, and one that blows the budget *during*
-  /// compute is answered `timeout ... phase=compute degraded=yes` — both
-  /// count into `service.deadline_exceeded`.
+  /// concurrently, including while `update_database()` swaps snapshots;
+  /// concurrent serving is acic::net's job (or `parallel_for` over this).
+  ///
+  /// The deadline clock starts at `admitted_at` — a network front end
+  /// passes the frame-arrival time so queue wait counts against
+  /// `deadline_us`.  The deadline is enforced on both sides of the verb
+  /// dispatch: a request that is already over budget when it reaches
+  /// compute is answered `timeout ... phase=queue` without doing the
+  /// work, and one that blows the budget *during* compute is answered
+  /// `timeout ... phase=compute degraded=yes` — both count into
+  /// `service.deadline_exceeded`.
   std::string handle(const std::string& request_line,
-                     std::chrono::steady_clock::time_point admitted_at);
-
-  /// Handle a batch of independent requests, fanning across
-  /// `parallel_for` (0 threads = hardware concurrency).  Response i
-  /// answers request i.
-  std::vector<std::string> handle_batch(
-      const std::vector<std::string>& request_lines, unsigned threads = 0);
-
-  /// Drive the service from a stream: reads request lines until EOF or a
-  /// "quit"/"exit" line, answers them in batches of `batch_size` across
-  /// `threads` workers, and writes responses to `out` in request order.
-  /// Returns the number of requests served.
-  std::size_t serve(std::istream& in, std::ostream& out,
-                    unsigned threads = 0, std::size_t batch_size = 64);
+                     std::chrono::steady_clock::time_point admitted_at =
+                         std::chrono::steady_clock::now());
 
   /// Refresh the database snapshot (a crowdsourced contribution batch):
   /// trains a replacement engine and atomically publishes it.  In-flight

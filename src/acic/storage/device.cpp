@@ -51,13 +51,6 @@ const char* to_string(DeviceType type) {
   return "?";
 }
 
-DeviceType device_type_from_string(const std::string& s) {
-  if (s == "ephemeral" || s == "eph") return DeviceType::kEphemeral;
-  if (s == "EBS" || s == "ebs") return DeviceType::kEbs;
-  if (s == "SSD" || s == "ssd") return DeviceType::kSsd;
-  throw acic::Error("unknown device type: " + s);
-}
-
 double raid0_bandwidth(const DeviceSpec& spec, int count, bool for_write) {
   ACIC_EXPECTS(count >= 1, "RAID-0 needs at least one member, got " << count);
   const double base = for_write ? spec.write_bandwidth : spec.read_bandwidth;

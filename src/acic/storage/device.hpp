@@ -32,7 +32,6 @@ struct DeviceSpec {
 const DeviceSpec& device_spec(DeviceType type);
 
 const char* to_string(DeviceType type);
-DeviceType device_type_from_string(const std::string& s);
 
 /// Aggregate bandwidth of a `count`-member software RAID-0 built from the
 /// given device.  RAID-0 striping scales streaming bandwidth nearly

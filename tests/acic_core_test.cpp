@@ -150,6 +150,24 @@ TEST(TrainingDatabaseGuard, FromCsvRejectsCorruptRows) {
     EXPECT_NE(std::string(e.what()).find("row 1"), std::string::npos)
         << e.what();
   }
+
+  // A number must span its whole cell: "50junk" is not a time of 50, and
+  // a repeats cell of "3.9" is not 3 repeats.
+  auto trailing_junk = table;
+  trailing_junk.rows[0][static_cast<std::size_t>(kNumDims)] = "50junk";
+  EXPECT_THROW(TrainingDatabase::from_csv(trailing_junk), Error);
+  auto fractional_repeats = table;
+  fractional_repeats.rows[0][static_cast<std::size_t>(kNumDims) + 5] = "3.9";
+  EXPECT_THROW(TrainingDatabase::from_csv(fractional_repeats), Error);
+
+  // The header must match to_csv()'s names, not just its arity: swapped
+  // time/cost names would load each value into the other's field.
+  auto swapped = table;
+  std::swap(swapped.header[static_cast<std::size_t>(kNumDims)],
+            swapped.header[static_cast<std::size_t>(kNumDims) + 1]);
+  EXPECT_THROW(TrainingDatabase::from_csv(swapped), Error);
+
+  EXPECT_EQ(TrainingDatabase::from_csv(table).samples()[0].time, 50.0);
 }
 
 TEST_F(AcicCoreFixture, AgingDropsOldestSamples) {

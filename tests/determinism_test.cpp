@@ -86,7 +86,7 @@ TEST(DeterminismTest, IdenticalRunsAreBitIdenticalOnPvfs2) {
   RunOptions options;
   options.seed = 1234;
   options.jitter_sigma = 0.06;
-  options.failures_per_hour = 2.0;  // fault injection must replay too
+  options.fault_model.outages_per_hour = 2.0;  // faults must replay too
   const RunResult first =
       run_workload(probe_workload(), pvfs_config(), options);
   const RunResult second =

@@ -125,15 +125,6 @@ TEST(RunKeyTest, EquivalentSpellingsShareOneKey) {
   EXPECT_EQ(exec::run_key(w, cfg, poszero),
             exec::run_key(w, cfg, negzero));
 
-  // The legacy failures_per_hour shorthand is the same run as the
-  // explicit fault-model spelling the runner merges it into.
-  io::RunOptions shorthand = opts;
-  shorthand.failures_per_hour = 2.0;
-  io::RunOptions explicit_model = opts;
-  explicit_model.fault_model.outages_per_hour = 2.0;
-  EXPECT_EQ(exec::run_key(w, cfg, shorthand),
-            exec::run_key(w, cfg, explicit_model));
-
   // Inert fault shape: brownout_fraction is meaningless while the
   // brownout rate is zero.
   io::RunOptions inert = opts;

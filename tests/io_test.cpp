@@ -165,7 +165,7 @@ TEST(RunnerTest, FailureInjectionSlowsTheRun) {
   w.iterations = 4;
   RunOptions calm = quiet();
   RunOptions stormy = quiet();
-  stormy.failures_per_hour = 2000.0;  // aggressive to hit a short run
+  stormy.fault_model.outages_per_hour = 2000.0;  // aggressive: short run
   const auto a = run_workload(w, pvfs4(), calm);
   const auto b = run_workload(w, pvfs4(), stormy);
   EXPECT_GT(b.total_time, a.total_time);

@@ -7,6 +7,7 @@
 #include "acic/fs/lustre.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::fs {
 namespace {
@@ -31,8 +32,9 @@ TEST(LustreTest, ConfigPlumbing) {
   const auto c = lustre_cfg(4);
   EXPECT_TRUE(c.valid());
   EXPECT_EQ(c.label(), "lustre.4.D.eph.4M");
-  EXPECT_EQ(cloud::fs_from_string("lustre"), cloud::FileSystemType::kLustre);
-  EXPECT_STREQ(cloud::to_string(cloud::FileSystemType::kLustre), "Lustre");
+  EXPECT_EQ(&plugin::filesystem_named("lustre"),
+            &plugin::filesystem_for(cloud::FileSystemType::kLustre));
+  EXPECT_EQ(plugin::filesystem_named("Lustre").name, "lustre");
   // Needs a stripe size like any striped FS.
   auto bad = c;
   bad.stripe_size = 0.0;

@@ -3,7 +3,8 @@
 // references, thread safety), the seeded process registries for all
 // four axes, the paramspace grids derived from plugin-declared knobs,
 // and the RunKey guarantees around the knob fold — including the
-// golden 504-key regression pinning every pre-plugin key bit-stable.
+// golden 504-key regression pinning every pre-plugin key bit-stable and
+// the 37 faulted keys pinning the fault/retry/checkpoint sub-blocks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,6 +47,55 @@ TEST(PluginRegistryTest, DuplicateRegistrationIsATypedError) {
   }
   // The failed add left the registry unchanged.
   EXPECT_EQ(reg.size(), 1u);
+}
+
+FilesystemPlugin stub_filesystem(std::string name,
+                                 cloud::FileSystemType type) {
+  FilesystemPlugin p;
+  p.name = name;
+  p.label_stem = std::move(name);
+  p.type = type;
+  p.in_default_grid = false;
+  p.schema.knobs = {{"io_servers", {1.0, 2.0, 4.0}},
+                    {"stripe_size", {64.0 * KiB, 4.0 * MiB}}};
+  return p;
+}
+
+TEST(PluginRegistryTest, DuplicateTypeIsATypedError) {
+  Registry<FilesystemPlugin> reg(Kind::kFilesystem);
+  reg.add(stub_filesystem("alpha", cloud::FileSystemType::kPvfs2));
+  try {
+    reg.add(stub_filesystem("beta", cloud::FileSystemType::kPvfs2));
+    FAIL() << "expected PluginError";
+  } catch (const PluginError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kDuplicateType);
+    EXPECT_EQ(e.kind(), Kind::kFilesystem);
+    EXPECT_EQ(e.name(), "beta");
+    EXPECT_EQ(e.registered(), std::vector<std::string>{"alpha"});
+  }
+  EXPECT_EQ(reg.size(), 1u);
+  reg.add(stub_filesystem("beta", cloud::FileSystemType::kLustre));
+  EXPECT_EQ(reg.size(), 2u);
+}
+
+// A plugin claiming a seed's type (say a BeeGFS substrate registered
+// with type kLustre) must not take over that seed's configs, whose
+// RunKeys stay Lustre's: it is rejected and the registry is unchanged.
+TEST(PluginRegistryTest, ClaimingASeedTypeCannotRelabelItsConfigs) {
+  cloud::IoConfig lustre;
+  filesystem_named("lustre").configure(lustre, 4, 4.0 * MiB);
+  lustre.device = storage::DeviceType::kEphemeral;
+  const std::string key = exec::run_key(apps::btio(64), lustre, {}).hex();
+
+  EXPECT_THROW(filesystems().add(stub_filesystem(
+                   "beegfs", cloud::FileSystemType::kLustre)),
+               PluginError);
+
+  const std::vector<std::string> fs_want = {"lustre", "nfs", "pvfs2"};
+  EXPECT_EQ(filesystems().names(), fs_want);
+  EXPECT_EQ(filesystem_for(cloud::FileSystemType::kLustre).name, "lustre");
+  EXPECT_EQ(lustre.label(), "lustre.4.D.eph.4M");
+  EXPECT_EQ(exec::run_key(apps::btio(64), lustre, {}).hex(), key);
 }
 
 TEST(PluginRegistryTest, UnknownLookupListsRegisteredNames) {
@@ -119,7 +169,7 @@ TEST(PluginRegistryTest, FilesystemBridgesAgree) {
   EXPECT_EQ(nfs.name, "nfs");
   EXPECT_TRUE(nfs.single_server);
   EXPECT_TRUE(nfs.matches("NFS"));
-  const auto& pvfs = filesystem_named("PVFS2");  // display-name spelling
+  const auto& pvfs = filesystem_named("PVFS2");  // alias spelling
   EXPECT_EQ(pvfs.name, "pvfs2");
   EXPECT_EQ(&pvfs, &filesystem_for(cloud::FileSystemType::kPvfs2));
   EXPECT_EQ(&filesystem_for_level(0.2), &nfs);   // snaps to nearest
@@ -129,7 +179,7 @@ TEST(PluginRegistryTest, FilesystemBridgesAgree) {
   // Lustre is registered but outside the paper's Table 1 grid.
   const auto grid = default_grid_filesystems();
   ASSERT_EQ(grid.size(), 2u);
-  EXPECT_EQ(grid[0]->name, "nfs");    // point_id order, not name order
+  EXPECT_EQ(grid[0]->name, "nfs");    // level order, not name order
   EXPECT_EQ(grid[1]->name, "pvfs2");
 }
 
@@ -285,6 +335,61 @@ TEST(RunKeyGolden, SeedGridKeysAreBitStable) {
       ++i;
     }
   }
+}
+
+// Faulted mpiBLAST-64 keys: the fault, retry and checkpoint sub-blocks
+// of the fingerprint, which the default-options seed grid never reaches.
+struct GoldenFaultKey {
+  const char* faults;  // fault preset name, or the lone outage-rate row
+  const char* label;   // IoConfig::label()
+  bool checkpoint;
+  const char* hex;
+};
+
+constexpr GoldenFaultKey kGoldenFaultKeys[] = {
+#include "golden_runkeys_faults.inc"
+};
+
+TEST(RunKeyGolden, FaultedKeysAreBitStable) {
+  const io::Workload w = apps::mpiblast(64);
+  cloud::IoConfig pvfs;
+  pvfs.fs = cloud::FileSystemType::kPvfs2;
+  pvfs.device = storage::DeviceType::kEphemeral;
+  pvfs.io_servers = 4;
+  cloud::IoConfig lustre = pvfs;
+  lustre.fs = cloud::FileSystemType::kLustre;
+  const cloud::IoConfig configs[] = {cloud::IoConfig::baseline(), pvfs,
+                                     lustre};
+  const auto presets = fault_models().all();
+  ASSERT_EQ(std::size(kGoldenFaultKeys), presets.size() * 3 * 2 + 1);
+  std::size_t i = 0;
+  for (const FaultModelPlugin* preset : presets) {
+    for (const auto& c : configs) {
+      for (bool checkpoint : {false, true}) {
+        const GoldenFaultKey& golden = kGoldenFaultKeys[i++];
+        ASSERT_EQ(preset->name, golden.faults);
+        ASSERT_EQ(c.label(), golden.label);
+        ASSERT_EQ(checkpoint, golden.checkpoint);
+        io::RunOptions opts;
+        opts.fault_model = preset->model;
+        opts.tuning.retry.enabled = true;
+        if (checkpoint) {
+          opts.checkpoint.enabled = true;
+          opts.checkpoint.interval = 300.0;
+          opts.checkpoint.bytes = 2.0 * GiB;
+        }
+        EXPECT_EQ(exec::run_key(w, c, opts).hex(), golden.hex)
+            << golden.faults << " " << golden.label << " checkpoint="
+            << checkpoint;
+      }
+    }
+  }
+  io::RunOptions outages_only;
+  outages_only.fault_model.outages_per_hour = 2.0;
+  const GoldenFaultKey& golden = kGoldenFaultKeys[i];
+  ASSERT_EQ(std::string("outages_per_hour=2"), golden.faults);
+  EXPECT_EQ(exec::run_key(w, cloud::IoConfig::baseline(), outages_only).hex(),
+            golden.hex);
 }
 
 }  // namespace

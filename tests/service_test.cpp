@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "acic/common/error.hpp"
+#include "acic/common/parallel.hpp"
 #include "acic/obs/metrics.hpp"
 #include "acic/service/query_service.hpp"
 
@@ -238,40 +238,6 @@ TEST(QueryServiceTest, ReportsErrorsOnBadCounts) {
   EXPECT_EQ(bad_np.rfind("error", 0), 0u) << bad_np;
 }
 
-TEST(QueryServiceTest, HandleBatchAnswersInRequestOrder) {
-  auto svc = make_service();
-  const std::vector<std::string> requests = {
-      "rank top=1",
-      "rank top=2",
-      "predict config=pvfs.4.D.eph.4M np=64 data=128MiB op=write",
-      "rank top=3",
-  };
-  const auto responses = svc.handle_batch(requests, 4);
-  ASSERT_EQ(responses.size(), requests.size());
-  EXPECT_EQ(responses[0].rfind("ok 1 dimensions", 0), 0u) << responses[0];
-  EXPECT_EQ(responses[1].rfind("ok 2 dimensions", 0), 0u) << responses[1];
-  EXPECT_EQ(responses[2].rfind("ok predicted_improvement=", 0), 0u)
-      << responses[2];
-  EXPECT_EQ(responses[3].rfind("ok 3 dimensions", 0), 0u) << responses[3];
-}
-
-TEST(QueryServiceTest, ServeDrivesStreamsAndStopsOnQuit) {
-  auto svc = make_service();
-  std::istringstream in(
-      "rank top=1\n"
-      "\n"
-      "rank top=2\n"
-      "quit\n"
-      "rank top=3\n");
-  std::ostringstream out;
-  const std::size_t served = svc.serve(in, out, 2, 2);
-  EXPECT_EQ(served, 2u);
-  const auto text = out.str();
-  EXPECT_NE(text.find("ok 1 dimensions"), std::string::npos) << text;
-  EXPECT_NE(text.find("ok 2 dimensions"), std::string::npos) << text;
-  EXPECT_EQ(text.find("ok 3 dimensions"), std::string::npos) << text;
-}
-
 TEST(QueryServiceTest, StatsReportsPerVerbMetrics) {
   auto svc = make_service();
   const std::vector<std::string> mixed = {
@@ -280,7 +246,8 @@ TEST(QueryServiceTest, StatsReportsPerVerbMetrics) {
       "rank top=2",
       "recommend objective=cost top_k=1 np=64 data=4MiB op=read",
   };
-  svc.handle_batch(mixed, 2);
+  parallel_for(
+      mixed.size(), [&](std::size_t i) { svc.handle(mixed[i]); }, 2);
 
   const auto snap = obs::MetricsRegistry::global().snapshot();
   for (const char* verb : {"recommend", "predict", "rank"}) {
@@ -702,7 +669,10 @@ TEST(QueryServiceConcurrency, BatchesRaceSwapsCleanly) {
   std::thread writer([&] {
     for (int s = 0; s < 4; ++s) svc.update_database(synthetic_db());
   });
-  const auto responses = svc.handle_batch(batch, 8);
+  std::vector<std::string> responses(batch.size());
+  parallel_for(
+      batch.size(),
+      [&](std::size_t i) { responses[i] = svc.handle(batch[i]); }, 8);
   writer.join();
   for (const auto& r : responses) {
     EXPECT_EQ(r.rfind("ok", 0), 0u) << r;

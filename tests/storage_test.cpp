@@ -21,14 +21,6 @@ TEST(DeviceCatalogue, RelativeOrderingMatchesEc2Measurements) {
   EXPECT_TRUE(ebs.network_attached);
   EXPECT_FALSE(eph.network_attached);
   EXPECT_FALSE(ssd.network_attached);
-}
-
-TEST(DeviceCatalogue, StringRoundTrip) {
-  EXPECT_EQ(device_type_from_string("ephemeral"), DeviceType::kEphemeral);
-  EXPECT_EQ(device_type_from_string("eph"), DeviceType::kEphemeral);
-  EXPECT_EQ(device_type_from_string("EBS"), DeviceType::kEbs);
-  EXPECT_EQ(device_type_from_string("ssd"), DeviceType::kSsd);
-  EXPECT_THROW(device_type_from_string("floppy"), Error);
   EXPECT_STREQ(to_string(DeviceType::kEbs), "EBS");
 }
 

@@ -153,27 +153,6 @@ TEST(TrainingProvenance, SurvivesCsvRoundTrip) {
   EXPECT_EQ(loaded.samples()[0].retries, 2);
 }
 
-TEST(TrainingProvenance, LegacyCsvWithoutProvenanceStillLoads) {
-  TrainingDatabase db;
-  TrainingSample s;
-  s.point = default_point();
-  s.time = 50.0;
-  s.cost = 5.0;
-  s.baseline_time = 100.0;
-  s.baseline_cost = 10.0;
-  db.insert(s);
-  auto table = db.to_csv();
-  // Strip the three provenance columns to fake a pre-upgrade file.
-  table.header.resize(table.header.size() - 3);
-  for (auto& row : table.rows) row.resize(row.size() - 3);
-  const auto loaded = TrainingDatabase::from_csv(table);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.samples()[0].repeats, 1);
-  EXPECT_EQ(loaded.samples()[0].rejected, 0);
-  EXPECT_EQ(loaded.samples()[0].retries, 0);
-  EXPECT_DOUBLE_EQ(loaded.samples()[0].time, 50.0);
-}
-
 TEST(MadStats, MedianAbsoluteDeviation) {
   EXPECT_DOUBLE_EQ(mad_of({}), 0.0);
   EXPECT_DOUBLE_EQ(mad_of({3.0}), 0.0);
