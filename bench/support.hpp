@@ -3,10 +3,12 @@
 // Several figures need the same expensive artifacts: the exhaustive
 // ground-truth measurement of all 9 application runs under all 56
 // candidate configurations, the 32-run PB screening, and a bootstrapped
-// training database.  Raw simulation results go through the execution
-// engine (exec::Executor) whose persistent run store lives in the bench
-// cache directory; higher-level artifacts (PB response, training
-// databases) are cached there as CSV.  The directory is ACIC_CACHE_DIR
+// training database.  Every simulation behind them goes through the
+// execution engine (exec::Executor), whose persistent run store lives in
+// the bench cache directory, so a later bench process rebuilds each
+// artifact from stored runs instead of simulating.  The run store is the
+// only cache: it keys every run on all of its inputs, so artifacts from
+// an older simulator are never reused.  The directory is ACIC_CACHE_DIR
 // when set, else an absolute path under the system temp directory — so
 // every bench binary shares one cache no matter where it is launched
 // from.
@@ -42,18 +44,14 @@ const std::map<std::string, std::vector<Measurement>>& ground_truth();
 /// policies can propose configs outside the 56-candidate grid).
 Measurement measure(const apps::AppRun& run, const cloud::IoConfig& config);
 
-/// The 32-run PB screening over the 15-D space.  Cached.
+/// The 32-run PB screening over the 15-D space.  Once per process.
 const core::PbRankingResult& pb_ranking();
 
 /// Bootstrapped IOR training database over the top `top_dims` PB-ranked
-/// dimensions.  Cached per (top_dims, max_samples, seed).
+/// dimensions.  Once per process and (top_dims, max_samples, seed).
 const core::TrainingDatabase& training_db(int top_dims = 12,
                                           std::size_t max_samples = 1200,
                                           std::uint64_t seed = 1);
-
-/// Spent collecting `training_db(...)` (0 when it came from cache, the
-/// bench prints both).
-core::TrainingStats last_training_stats();
 
 // --- Small helpers over measurement vectors --------------------------
 const Measurement& find_measurement(const std::vector<Measurement>& ms,

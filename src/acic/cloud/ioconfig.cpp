@@ -7,16 +7,6 @@
 
 namespace acic::cloud {
 
-const char* to_string(Placement p) {
-  switch (p) {
-    case Placement::kPartTime:
-      return "part-time";
-    case Placement::kDedicated:
-      return "dedicated";
-  }
-  return "?";
-}
-
 bool IoConfig::valid() const {
   if (io_servers < 1) return false;
   const auto& substrate = plugin::filesystem_for(fs);

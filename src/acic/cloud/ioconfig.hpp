@@ -26,8 +26,6 @@ enum class Placement {
   kDedicated,  ///< I/O servers run on their own (billed) instances.
 };
 
-const char* to_string(Placement p);
-
 /// One point in the system-side configuration space.
 struct IoConfig {
   storage::DeviceType device = storage::DeviceType::kEbs;

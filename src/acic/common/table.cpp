@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 #include "acic/common/error.hpp"
@@ -51,7 +50,5 @@ std::string TextTable::to_string() const {
   for (const auto& row : rows_) emit(row);
   return os.str();
 }
-
-void TextTable::print(std::ostream& os) const { os << to_string(); }
 
 }  // namespace acic

@@ -2,7 +2,6 @@
 // regenerated paper tables/figures come out aligned and diff-friendly.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -20,8 +19,6 @@ class TextTable {
 
   /// Render with column alignment and a header separator.
   std::string to_string() const;
-
-  void print(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -72,18 +72,6 @@ double Acic::predict(const cloud::IoConfig& config,
   return model_->predict(std::span<const double>(p.data(), p.size()));
 }
 
-std::vector<double> Acic::predict_points(std::span<const Point> points) const {
-  std::vector<double> out(points.size());
-  if (points.empty()) return out;
-  std::vector<double> matrix;
-  matrix.reserve(points.size() * kNumDims);
-  for (const Point& p : points) {
-    matrix.insert(matrix.end(), p.begin(), p.end());
-  }
-  model_->predict_batch(matrix, points.size(), out);
-  return out;
-}
-
 std::vector<double> Acic::predict_batch(
     std::span<const cloud::IoConfig> configs,
     const io::Workload& traits) const {

@@ -77,11 +77,6 @@ class Acic {
   double predict(const cloud::IoConfig& config,
                  const io::Workload& traits) const;
 
-  /// Batch-predict pre-encoded exploration points in one model pass
-  /// (flat-tree fast path when the model supports it).  Results are
-  /// bit-identical to calling predict() per point.
-  std::vector<double> predict_points(std::span<const Point> points) const;
-
   /// Batch-predict many candidate configurations for one application:
   /// encodes all (config, traits) pairs into a single contiguous matrix
   /// and evaluates it in one pass.

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "acic/common/error.hpp"
-#include "acic/core/predictor.hpp"
+#include "acic/core/training.hpp"
 #include "acic/obs/metrics.hpp"
 
 namespace acic::core {
@@ -136,51 +136,6 @@ SpaceWalker::Result SpaceWalker::random_walk(const Probe& probe, Rng& rng) {
   order.reserve(dims.size());
   for (std::size_t i : perm) order.push_back(dims[i]);
   return walk(probe, order);
-}
-
-SpaceWalker::Result SpaceWalker::predicted_walk(const Acic& model,
-                                                const io::Workload& traits,
-                                                const std::vector<Dim>& order,
-                                                int max_passes) {
-  ACIC_CHECK(!order.empty());
-  ACIC_CHECK(max_passes >= 1);
-
-  Result result;
-  Point current = ParamSpace::encode(cloud::IoConfig::baseline(), traits);
-  // Higher is better here (predicted improvement over baseline) — the
-  // inversion relative to the sim-backed walks is documented on the
-  // declaration.
-  double best = model.predict_points({&current, 1}).front();
-  std::uint64_t rows_scored = 1;
-  std::vector<Point> candidates;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    const std::string before = ParamSpace::config_of(current).label();
-    for (Dim d : order) {
-      candidates.clear();
-      for (double v : ParamSpace::dimension(d).values) {
-        Point candidate = current;
-        candidate[d] = v;
-        candidates.push_back(pinned_repair(candidate, d));
-      }
-      const std::vector<double> scores = model.predict_points(candidates);
-      rows_scored += scores.size();
-      for (std::size_t i = 0; i < scores.size(); ++i) {
-        if (scores[i] > best) {
-          best = scores[i];
-          current = candidates[i];
-        }
-      }
-    }
-    if (ParamSpace::config_of(current).label() == before) break;
-  }
-
-  result.best = ParamSpace::config_of(current);
-  result.best_measure = best;
-  result.probes = 0;  // zero simulations spent — that is the point
-  obs::MetricsRegistry::global()
-      .counter("walker.predicted_rows")
-      .add(static_cast<double>(rows_scored));
-  return result;
 }
 
 }  // namespace acic::core

@@ -16,11 +16,8 @@
 #include "acic/cloud/ioconfig.hpp"
 #include "acic/common/rng.hpp"
 #include "acic/core/paramspace.hpp"
-#include "acic/io/workload.hpp"
 
 namespace acic::core {
-
-class Acic;
 
 class SpaceWalker {
  public:
@@ -61,19 +58,6 @@ class SpaceWalker {
 
   /// Random-ordered walk (the control).  Deterministic per seed.
   static Result random_walk(const Probe& probe, Rng& rng);
-
-  /// Model-driven walk: probes are batch predictions from a trained
-  /// model instead of simulations — each dimension's whole value row is
-  /// scored in one flat-tree pass, so a full converged walk costs
-  /// microseconds and zero simulations (Result::probes stays 0; rows
-  /// scored roll into the `walker.predicted_rows` counter).  NOTE the
-  /// objective inversion relative to the sim-backed walks: the model
-  /// predicts *improvement over baseline* (higher is better), so
-  /// Result::best_measure is the predicted improvement of the chosen
-  /// configuration, not a seconds/dollars measure to minimise.
-  static Result predicted_walk(const Acic& model, const io::Workload& traits,
-                               const std::vector<Dim>& order,
-                               int max_passes = 3);
 };
 
 }  // namespace acic::core

@@ -1,4 +1,5 @@
-// Shared / parallel file-system models: NFS and PVFS2.
+// Shared / parallel file-system models: NFS (nfs.hpp) and the striped
+// model (striped.hpp) that PVFS2 and Lustre run on with their own costs.
 //
 // Both expose the same client-side contract: a `request()` coroutine that
 // performs one contiguous read or write from a rank, plus open/close

@@ -81,8 +81,8 @@ RunResult run_workload(const Workload& workload,
   SimTime watchdog = options.watchdog_sim_time;
   if (watchdog <= 0.0 && faults.any()) watchdog = 24.0 * kHour;
   {
-    // Wall-clock of the simulation itself (the perf gate reads its
-    // p50/p99); setup and the metrics roll-up below stay outside.
+    // Wall-clock of the simulation itself; setup and the metrics roll-up
+    // below stay outside.
     obs::Timer wall_timer(obs::MetricsRegistry::global().histogram(
         "io.sim_wall_us", obs::latency_buckets_us()));
     if (watchdog > 0.0) {

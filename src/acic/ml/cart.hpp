@@ -88,9 +88,6 @@ class CartTree final : public Learner {
             std::size_t begin, std::size_t end, int depth,
             const CartParams& params);
   void prune_with(const Dataset& validation);
-  double subtree_sse(int node, const Dataset& data,
-                     const std::vector<std::vector<std::size_t>>& routing)
-      const;
   void dump_node(int node, int indent,
                  const std::vector<std::string>& feature_names,
                  std::string& out) const;

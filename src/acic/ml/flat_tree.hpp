@@ -37,16 +37,13 @@ class FlatTree {
   std::size_t node_count() const { return feature_.size(); }
   /// Edges on the longest root-to-leaf path (0 for a single leaf).
   std::size_t depth() const { return depth_; }
-  /// Smallest feature-vector arity a prediction row must supply (max
-  /// feature index used by any split, plus one).
-  std::size_t min_features() const { return min_features_; }
 
   /// Single-row evaluation; bit-identical to CartTree::predict.
   double predict(std::span<const double> features) const;
 
   /// Evaluate `n_rows` rows packed row-major in `X` (stride inferred as
-  /// X.size() / n_rows, which must divide evenly and cover
-  /// min_features()) into `out[0..n_rows)`.
+  /// X.size() / n_rows, which must divide evenly and cover every
+  /// feature a split uses) into `out[0..n_rows)`.
   void predict_batch(std::span<const double> X, std::size_t n_rows,
                      std::span<double> out) const;
 
@@ -66,7 +63,7 @@ class FlatTree {
   std::vector<double> threshold_;      // leaf slot holds the predicted mean
   std::vector<std::int32_t> right_;    // left child is implicitly node + 1
   std::size_t depth_ = 0;
-  std::size_t min_features_ = 0;
+  std::size_t min_features_ = 0;       // max split feature index + 1
 };
 
 }  // namespace acic::ml

@@ -119,11 +119,6 @@ class Server {
   /// SIGTERM/SIGINT handler.  Idempotent.
   void request_drain() noexcept;
 
-  /// True once run() has returned (or before it ever started).
-  bool draining() const noexcept {
-    return drain_requested_.load(std::memory_order_acquire);
-  }
-
  private:
   struct Conn {
     int fd = -1;

@@ -40,7 +40,6 @@ class IoTracer {
   void set_job_info(int num_processes, io::IoInterface interface,
                     bool collective, bool file_shared);
 
-  const std::vector<TraceRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }
 
   std::uint64_t op_count(bool writes) const;

@@ -54,11 +54,6 @@ double FlowNetwork::capacity(ResourceId id) const {
   return resources_[id].capacity;
 }
 
-const std::string& FlowNetwork::resource_name(ResourceId id) const {
-  ACIC_EXPECTS(id < resources_.size(), "unknown resource " << id);
-  return resources_[id].name;
-}
-
 FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
                                std::function<void()> on_complete) {
   ACIC_EXPECTS(!path.empty(), "flow path must name at least one resource");

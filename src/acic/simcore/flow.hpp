@@ -47,8 +47,6 @@ class FlowNetwork {
   void set_capacity(ResourceId id, double capacity);
 
   double capacity(ResourceId id) const;
-  const std::string& resource_name(ResourceId id) const;
-  std::size_t resource_count() const { return resources_.size(); }
 
   /// Begin transferring `bytes` across `path`; `on_complete` fires through
   /// the event queue when the transfer finishes.  Zero-byte transfers

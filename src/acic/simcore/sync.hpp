@@ -131,8 +131,6 @@ class Barrier {
     return Awaiter{*this};
   }
 
-  std::size_t waiting() const { return arrived_; }
-
  private:
   void release_all() {
     arrived_ = 0;

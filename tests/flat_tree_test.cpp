@@ -1,12 +1,13 @@
 // Tests for the flat SoA tree snapshot: bit-identical parity with the
-// pointer tree, batch wiring through the predictor layer, and
-// thread-safety of concurrent batch evaluation.
+// pointer tree, batch wiring through the predictor layer (over the full
+// evaluation grid), and thread-safety of concurrent batch evaluation.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "acic/apps/apps.hpp"
 #include "acic/common/error.hpp"
 #include "acic/common/rng.hpp"
 #include "acic/core/paramspace.hpp"
@@ -186,6 +187,23 @@ TEST(FlatTreeTest, AcicRecommendUsesBatchPathBitIdentically) {
   EXPECT_GE(recs[0].predicted_improvement, recs[1].predicted_improvement);
   EXPECT_EQ(recs[0].predicted_improvement,
             model.predict(recs[0].config, traits));
+
+  // The full evaluation grid (every evaluation-suite workload x every
+  // candidate, 9 x 56 rows), for the default CART and for the forest.
+  const core::Acic forest(db, core::Objective::kPerformance, "forest");
+  for (const core::Acic* acic : {&model, &forest}) {
+    std::vector<double> batch;
+    std::vector<double> per_pair;
+    for (const auto& run : apps::evaluation_suite()) {
+      const auto row = acic->predict_batch(candidates, run.workload);
+      batch.insert(batch.end(), row.begin(), row.end());
+      for (const auto& c : candidates) {
+        per_pair.push_back(acic->predict(c, run.workload));
+      }
+    }
+    EXPECT_EQ(per_pair.size(), 504u);
+    EXPECT_TRUE(bitwise_equal(batch, per_pair)) << acic->model().name();
+  }
 }
 
 TEST(FlatTreeConcurrency, SharedTreeConcurrentBatchPredict) {

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "acic/fs/filesystem.hpp"
-#include "acic/fs/pvfs2.hpp"
+#include "acic/fs/striped.hpp"
 
 namespace acic::fs {
 namespace {
@@ -89,10 +89,11 @@ TEST(NfsModelTest, WriteBackHidesSeekButReadPaysIt) {
 TEST(Pvfs2ModelTest, ServersTouchedFollowsStriping) {
   sim::Simulator s;
   cloud::ClusterModel cluster(s, opts(16, pvfs_cfg(4, 4.0 * MiB)));
-  Pvfs2Model fs(cluster, FsTuning{});
-  EXPECT_EQ(fs.servers_touched(1.0 * MiB), 1);   // one stripe
-  EXPECT_EQ(fs.servers_touched(8.0 * MiB), 2);   // two stripes
-  EXPECT_EQ(fs.servers_touched(64.0 * MiB), 4);  // capped at server count
+  const auto fs = make_filesystem(cluster);
+  const auto& striped = dynamic_cast<const StripedModel&>(*fs);
+  EXPECT_EQ(striped.servers_touched(1.0 * MiB), 1);   // one stripe
+  EXPECT_EQ(striped.servers_touched(8.0 * MiB), 2);   // two stripes
+  EXPECT_EQ(striped.servers_touched(64.0 * MiB), 4);  // capped at server count
 }
 
 TEST(Pvfs2ModelTest, LargeRequestScalesWithServers) {
@@ -119,12 +120,14 @@ TEST(Pvfs2ModelTest, SmallStripeSpreadsMediumRequests) {
   // stripes (all four servers) — the fine stripe wins on parallelism.
   sim::Simulator s;
   cloud::ClusterModel cluster(s, opts(16, pvfs_cfg(4, 64.0 * KiB)));
-  Pvfs2Model fine(cluster, FsTuning{});
-  EXPECT_EQ(fine.servers_touched(256.0 * KiB), 4);
+  const auto fine = make_filesystem(cluster);
+  const auto& fine_striped = dynamic_cast<const StripedModel&>(*fine);
+  EXPECT_EQ(fine_striped.servers_touched(256.0 * KiB), 4);
   sim::Simulator s2;
   cloud::ClusterModel cluster2(s2, opts(16, pvfs_cfg(4, 4.0 * MiB)));
-  Pvfs2Model coarse(cluster2, FsTuning{});
-  EXPECT_EQ(coarse.servers_touched(256.0 * KiB), 1);
+  const auto coarse = make_filesystem(cluster2);
+  const auto& coarse_striped = dynamic_cast<const StripedModel&>(*coarse);
+  EXPECT_EQ(coarse_striped.servers_touched(256.0 * KiB), 1);
 }
 
 TEST(Pvfs2ModelTest, ColocatedWriterSkipsNetwork) {

@@ -4,7 +4,7 @@
 #include "acic/core/paramspace.hpp"
 #include "acic/core/training.hpp"
 #include "acic/fs/filesystem.hpp"
-#include "acic/fs/lustre.hpp"
+#include "acic/fs/striped.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
 #include "acic/plugin/substrates.hpp"
@@ -48,7 +48,10 @@ TEST(LustreTest, FactoryAndParamSpaceRoundTrip) {
   o.config = lustre_cfg(2);
   o.jitter_sigma = 0.0;
   cloud::ClusterModel cluster(s, o);
-  EXPECT_STREQ(make_filesystem(cluster)->name(), "Lustre");
+  const auto fs = make_filesystem(cluster);
+  EXPECT_STREQ(fs->name(), "Lustre");
+  // Lustre is the striped model PVFS2 runs on, with its own cost table.
+  EXPECT_NE(dynamic_cast<const StripedModel*>(fs.get()), nullptr);
 
   const auto p = core::ParamSpace::encode(
       lustre_cfg(2), core::ParamSpace::workload_of(core::default_point()));

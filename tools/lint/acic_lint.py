@@ -307,10 +307,7 @@ def iter_source_files(root: str) -> List[str]:
             if name.endswith((".hpp", ".cpp", ".h", ".cc")):
                 files.append(os.path.join(dirpath, name))
     # The slap harness ships alongside the library and holds to the same
-    # contracts (no raw mutexes, no unregistered metrics, ...).  The perf
-    # gate is NOT scanned here: it re-resolves existing metric names to
-    # *read* them, which the single-registration-site rule cannot tell
-    # apart from a second registration.
+    # contracts (no raw mutexes, no unregistered metrics, ...).
     slap = os.path.join(root, "bench", "acic_slap.cpp")
     if os.path.isfile(slap):
         files.append(slap)
