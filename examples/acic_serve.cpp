@@ -36,7 +36,6 @@
 // listener closes, in-flight requests finish under the drain deadline,
 // and the process exits 0; in stdin mode the blocking read is
 // interrupted and the process exits 0.
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -82,10 +81,8 @@ void print_usage() {
       "\n"
       "registered plugins:\n");
   for (const auto& info : acic::plugin::inventory()) {
-    std::printf("  %s\n", info.summary.c_str());
-  }
-  for (const auto& err : acic::plugin::registration_errors()) {
-    std::printf("  registration-error %s\n", err.c_str());
+    std::printf("  %s %s\n", acic::plugin::to_string(info.kind),
+                info.name.c_str());
   }
 }
 
@@ -123,36 +120,6 @@ acic::core::PbRankingResult identity_ranking() {
   return r;
 }
 
-/// A count flag's value: digits only (service::parse_count), and no
-/// larger than `max`.  Throws acic::Error naming the flag.
-std::size_t count_flag(const std::string& flag, const std::string& text,
-                       std::size_t max) {
-  const std::size_t value = acic::service::parse_count(flag, text);
-  if (value > max) {
-    throw acic::Error(flag + " must be at most " + std::to_string(max) +
-                      ", got '" + text + "'");
-  }
-  return value;
-}
-
-/// --deadline-us: a finite, non-negative number of microseconds.
-double deadline_flag(const std::string& text) {
-  std::size_t used = 0;
-  double value = -1.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || !std::isfinite(value) ||
-      value < 0.0) {
-    throw acic::Error(
-        "--deadline-us must be a finite, non-negative number, got '" + text +
-        "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,7 +134,7 @@ int main(int argc, char** argv) {
   net::ServerOptions net_options;
   constexpr auto kMaxMs =
       static_cast<std::size_t>(std::numeric_limits<long>::max());
-  constexpr auto kMaxSize = std::numeric_limits<std::size_t>::max();
+  using service::parse_count;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -190,25 +157,26 @@ int main(int argc, char** argv) {
         }
         net_options.host = spec.substr(0, colon);
         net_options.port = static_cast<std::uint16_t>(
-            count_flag("--listen port", spec.substr(colon + 1), 65535));
+            parse_count("--listen port", spec.substr(colon + 1), 65535));
         listen = true;
       } else if (arg == "--threads") {
         // Beyond this a worker count is a typo, not a machine.
-        threads = static_cast<unsigned>(count_flag(arg, value(), 1024));
+        threads = static_cast<unsigned>(parse_count(arg, value(), 1024));
       } else if (arg == "--max-inflight") {
-        service_options.max_in_flight = count_flag(arg, value(), kMaxSize);
+        service_options.max_in_flight = parse_count(arg, value());
       } else if (arg == "--deadline-us") {
-        service_options.deadline_us = deadline_flag(value());
+        service_options.deadline_us =
+            service::parse_nonneg_double(arg, value());
       } else if (arg == "--idle-ms") {
         net_options.idle_timeout_ms =
-            static_cast<long>(count_flag(arg, value(), kMaxMs));
+            static_cast<long>(parse_count(arg, value(), kMaxMs));
       } else if (arg == "--drain-ms") {
         net_options.drain_timeout_ms =
-            static_cast<long>(count_flag(arg, value(), kMaxMs));
+            static_cast<long>(parse_count(arg, value(), kMaxMs));
       } else if (arg == "--max-conns") {
-        net_options.max_connections = count_flag(arg, value(), kMaxSize);
+        net_options.max_connections = parse_count(arg, value());
       } else if (arg == "--net-queue") {
-        net_options.max_queue_depth = count_flag(arg, value(), kMaxSize);
+        net_options.max_queue_depth = parse_count(arg, value());
       } else if (arg == "--learner") {
         service_options.learners.clear();
         const std::string names = value();

@@ -28,13 +28,15 @@
 //     --ssd                include SSD configurations in the sweep
 //     --jobs=N             host threads for the sweep (default: hardware)
 //     --no-cache           bypass the run cache (every row re-simulated)
+//   A malformed or negative value, an unknown preset or an unknown flag
+//   exits 1 with an error naming it, before any simulation runs.
 //
 // The sweep goes through the execution engine: set ACIC_CACHE_DIR to
 // persist results and a re-run answers from cache instead of
 // re-simulating.  Cache statistics are printed to stderr so stdout
 // stays byte-comparable between cold and warm runs.
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,7 @@
 #include "acic/io/runner.hpp"
 #include "acic/obs/metrics.hpp"
 #include "acic/plugin/substrates.hpp"
+#include "acic/service/query_service.hpp"
 
 namespace {
 
@@ -91,52 +94,67 @@ int main(int argc, char** argv) {
     bool no_cache = false;
     unsigned jobs = 0;
     int positional = 0;
+    constexpr auto kMaxInt =
+        static_cast<std::size_t>(std::numeric_limits<int>::max());
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
+      // "--name=value": the value is parsed strictly, and any error
+      // names the flag.
+      const auto eq = arg.find('=');
+      const std::string flag = arg.substr(0, eq);
+      const std::string text =
+          eq == std::string::npos ? "" : arg.substr(eq + 1);
+      const auto rate = [&] {
+        return service::parse_nonneg_double(flag, text);
+      };
+      const auto count = [&](std::size_t max) {
+        return service::parse_count(flag, text, max);
+      };
       if (arg == "--detailed-pricing") {
         opts.detailed_pricing = cloud::DetailedPricing{};
-      } else if (arg.rfind("--chaos=", 0) == 0) {
-        // Whole-model preset from the registry; an unknown name throws
-        // a PluginError listing the registered presets.  Field flags
+      } else if (flag == "--chaos") {
+        // Whole-model preset from the table; an unknown name throws a
+        // PluginError listing the registered presets.  Field flags
         // after this one still override individual knobs.
-        opts.fault_model = plugin::fault_models().lookup(arg.substr(8)).model;
-      } else if (arg.rfind("--failures=", 0) == 0) {
-        opts.fault_model.outages_per_hour = std::stod(arg.substr(11));
-      } else if (arg.rfind("--brownouts=", 0) == 0) {
-        opts.fault_model.brownouts_per_hour = std::stod(arg.substr(12));
-      } else if (arg.rfind("--brownout-fraction=", 0) == 0) {
-        opts.fault_model.brownout_fraction = std::stod(arg.substr(20));
-      } else if (arg.rfind("--stragglers=", 0) == 0) {
-        opts.fault_model.stragglers_per_hour = std::stod(arg.substr(13));
-      } else if (arg.rfind("--straggler-factor=", 0) == 0) {
-        opts.fault_model.straggler_factor = std::stod(arg.substr(19));
-      } else if (arg.rfind("--correlated=", 0) == 0) {
-        opts.fault_model.correlated_outage_probability =
-            std::stod(arg.substr(13));
-      } else if (arg.rfind("--permanent=", 0) == 0) {
-        opts.fault_model.permanent_loss_probability =
-            std::stod(arg.substr(12));
+        opts.fault_model = plugin::fault_models().lookup(text).model;
+      } else if (flag == "--failures") {
+        opts.fault_model.outages_per_hour = rate();
+      } else if (flag == "--brownouts") {
+        opts.fault_model.brownouts_per_hour = rate();
+      } else if (flag == "--brownout-fraction") {
+        opts.fault_model.brownout_fraction = rate();
+      } else if (flag == "--stragglers") {
+        opts.fault_model.stragglers_per_hour = rate();
+      } else if (flag == "--straggler-factor") {
+        opts.fault_model.straggler_factor = rate();
+      } else if (flag == "--correlated") {
+        opts.fault_model.correlated_outage_probability = rate();
+      } else if (flag == "--permanent") {
+        opts.fault_model.permanent_loss_probability = rate();
       } else if (arg == "--retry") {
         opts.tuning.retry.enabled = true;
-      } else if (arg.rfind("--timeout=", 0) == 0) {
-        opts.tuning.retry.request_timeout = std::stod(arg.substr(10));
-      } else if (arg.rfind("--attempts=", 0) == 0) {
-        opts.tuning.retry.max_attempts = std::stoi(arg.substr(11));
-      } else if (arg.rfind("--watchdog=", 0) == 0) {
-        opts.watchdog_sim_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        opts.seed = std::stoull(arg.substr(7));
+      } else if (flag == "--timeout") {
+        opts.tuning.retry.request_timeout = rate();
+      } else if (flag == "--attempts") {
+        opts.tuning.retry.max_attempts = static_cast<int>(count(kMaxInt));
+      } else if (flag == "--watchdog") {
+        opts.watchdog_sim_time = rate();
+      } else if (flag == "--seed") {
+        opts.seed = count(std::numeric_limits<std::size_t>::max());
       } else if (arg == "--ssd") {
         ssd = true;
-      } else if (arg.rfind("--jobs=", 0) == 0) {
-        jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+      } else if (flag == "--jobs") {
+        jobs = static_cast<unsigned>(
+            count(std::numeric_limits<unsigned>::max()));
       } else if (arg == "--no-cache") {
         no_cache = true;
+      } else if (arg.rfind("--", 0) == 0) {
+        throw Error("unknown flag " + arg);
       } else if (positional == 0) {
         app = arg;
         ++positional;
       } else if (positional == 1) {
-        np = std::stoi(arg);
+        np = static_cast<int>(service::parse_count("np", arg, kMaxInt));
         ++positional;
       } else {
         label = arg;

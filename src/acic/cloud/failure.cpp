@@ -353,85 +353,31 @@ void FailureInjector::apply(sim::ResourceId id) {
 
 }  // namespace acic::cloud
 
+namespace acic::plugin {
+
 // Named chaos presets.  `simulate chaos=<name>` and the CLI --chaos flag
 // resolve these; explicit failure knobs still override field by field.
-namespace {
-
-acic::cloud::FaultModel preset_base() { return acic::cloud::FaultModel{}; }
-
-}  // namespace
-
-ACIC_REGISTER_PLUGIN(fault_none) {
-  acic::plugin::FaultModelPlugin p;
-  p.name = "none";
-  p.description = "fault-free cloud (all rates zero)";
-  p.schema.version = 1;
-  p.model = preset_base();
-  acic::plugin::fault_models().add(std::move(p));
+std::vector<FaultModelPlugin> fault_presets() {
+  using cloud::FaultModel;
+  return {
+      {"none", FaultModel{}},
+      // Hard server outages, full recovery.
+      {"outages", FaultModel{.outages_per_hour = 4.0}},
+      // Partial capacity loss episodes.
+      {"brownouts",
+       FaultModel{.brownouts_per_hour = 6.0, .brownout_fraction = 0.2}},
+      // Slow-node episodes (noisy neighbours).
+      {"stragglers",
+       FaultModel{.stragglers_per_hour = 3.0, .straggler_factor = 0.35}},
+      // Correlated outages with occasional permanent loss.
+      {"lossy-az", FaultModel{.outages_per_hour = 2.0,
+                              .correlated_outage_probability = 0.5,
+                              .permanent_loss_probability = 0.1}},
+      // Spot reclamations: notice, whole-server loss, replacement restart
+      // (the rate is per server-hour).
+      {"spot-preempt", FaultModel{.preemptions_per_hour = 1.0,
+                                  .preemption_notice = 120.0}},
+  };
 }
 
-ACIC_REGISTER_PLUGIN(fault_outages) {
-  acic::plugin::FaultModelPlugin p;
-  p.name = "outages";
-  p.description = "hard server outages, full recovery";
-  p.schema.version = 1;
-  p.schema.knobs = {{"outages_per_hour", {4.0}}};
-  p.model = preset_base();
-  p.model.outages_per_hour = 4.0;
-  acic::plugin::fault_models().add(std::move(p));
-}
-
-ACIC_REGISTER_PLUGIN(fault_brownouts) {
-  acic::plugin::FaultModelPlugin p;
-  p.name = "brownouts";
-  p.description = "partial capacity loss episodes";
-  p.schema.version = 1;
-  p.schema.knobs = {{"brownouts_per_hour", {6.0}},
-                    {"brownout_fraction", {0.2}}};
-  p.model = preset_base();
-  p.model.brownouts_per_hour = 6.0;
-  p.model.brownout_fraction = 0.2;
-  acic::plugin::fault_models().add(std::move(p));
-}
-
-ACIC_REGISTER_PLUGIN(fault_stragglers) {
-  acic::plugin::FaultModelPlugin p;
-  p.name = "stragglers";
-  p.description = "slow-node episodes (noisy neighbours)";
-  p.schema.version = 1;
-  p.schema.knobs = {{"stragglers_per_hour", {3.0}},
-                    {"straggler_factor", {0.35}}};
-  p.model = preset_base();
-  p.model.stragglers_per_hour = 3.0;
-  p.model.straggler_factor = 0.35;
-  acic::plugin::fault_models().add(std::move(p));
-}
-
-ACIC_REGISTER_PLUGIN(fault_lossy_az) {
-  acic::plugin::FaultModelPlugin p;
-  p.name = "lossy-az";
-  p.description = "correlated outages with occasional permanent loss";
-  p.schema.version = 1;
-  p.schema.knobs = {{"outages_per_hour", {2.0}},
-                    {"correlated_outage_probability", {0.5}},
-                    {"permanent_loss_probability", {0.1}}};
-  p.model = preset_base();
-  p.model.outages_per_hour = 2.0;
-  p.model.correlated_outage_probability = 0.5;
-  p.model.permanent_loss_probability = 0.1;
-  acic::plugin::fault_models().add(std::move(p));
-}
-
-ACIC_REGISTER_PLUGIN(fault_spot_preempt) {
-  acic::plugin::FaultModelPlugin p;
-  p.name = "spot-preempt";
-  p.description =
-      "spot reclamations: notice, whole-server loss, replacement restart";
-  p.schema.version = 2;
-  p.schema.knobs = {{"preemptions_per_hour", {1.0}},
-                    {"preemption_notice", {120.0}}};
-  p.model = preset_base();
-  p.model.preemptions_per_hour = 1.0;  // per server-hour
-  p.model.preemption_notice = 120.0;
-  acic::plugin::fault_models().add(std::move(p));
-}
+}  // namespace acic::plugin

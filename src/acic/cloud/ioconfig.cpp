@@ -93,9 +93,9 @@ std::vector<IoConfig> enumerate_over(
                                     InstanceType::kCc2_8xlarge};
   const Placement placements[] = {Placement::kPartTime, Placement::kDedicated};
   // Default-grid substrates in level order (NFS before PVFS2) with
-  // their declared knob grids reproduce the seed 56-candidate order
+  // their server and stripe grids reproduce the seed 56-candidate order
   // byte for byte (guarded by the golden-RunKey regression).
-  const auto grid = plugin::default_grid_filesystems();
+  const auto& grid = plugin::default_grid_filesystems();
   ACIC_CHECK_MSG(!grid.empty(), "no default-grid filesystem plugins");
   for (auto dev : devices) {
     for (auto inst : instances) {
@@ -110,15 +110,10 @@ std::vector<IoConfig> enumerate_over(
             out.push_back(base);
             continue;
           }
-          const plugin::Knob* servers = substrate->schema.find("io_servers");
-          const plugin::Knob* stripes = substrate->schema.find("stripe_size");
-          ACIC_CHECK_MSG(servers != nullptr && stripes != nullptr,
-                         "striped substrate must declare io_servers and "
-                         "stripe_size knobs");
-          for (double server_count : servers->values) {
-            for (double stripe : stripes->values) {
+          for (int servers : substrate->io_servers) {
+            for (Bytes stripe : substrate->stripe_sizes) {
               IoConfig c = base;
-              substrate->configure(c, static_cast<int>(server_count), stripe);
+              substrate->configure(c, servers, stripe);
               out.push_back(c);
             }
           }

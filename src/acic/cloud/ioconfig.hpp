@@ -4,7 +4,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "acic/cloud/instance.hpp"
@@ -38,12 +37,6 @@ struct IoConfig {
   /// RAID-0 member count per server; 0 selects the platform default
   /// (all local disks for ephemeral/SSD, two volumes for EBS).
   int raid_members = 0;
-  /// Extra substrate-declared knob settings (name → value) for knobs
-  /// beyond the Table 1 dimensions above.  Empty for every seed
-  /// substrate; out-of-tree plugins use it to make their settings part
-  /// of the config identity (and thus the RunKey — see the versioned
-  /// knob fold in exec/runkey.cpp).
-  std::vector<std::pair<std::string, double>> plugin_knobs;
 
   /// Validity rules from the paper: NFS has exactly one server and no
   /// stripe size; PVFS2 needs >= 1 server and a positive stripe size.

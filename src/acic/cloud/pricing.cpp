@@ -1,9 +1,5 @@
 #include "acic/cloud/pricing.hpp"
 
-#include <utility>
-
-#include "acic/common/error.hpp"
-#include "acic/plugin/substrates.hpp"
 #include "acic/storage/device.hpp"
 
 namespace acic::cloud {
@@ -39,56 +35,3 @@ Money SpotPricing::run_cost(const ClusterModel& cluster, SimTime duration,
 }
 
 }  // namespace acic::cloud
-
-// The paper's Eq. (1): cost = time x instances x unit price.
-ACIC_REGISTER_PLUGIN(eq1_pricing) {
-  acic::plugin::PricingPlugin p;
-  p.name = "eq1";
-  p.description = "Eq. (1) instance-hours only (the paper's model)";
-  p.schema.version = 1;
-  p.cost = [](const acic::plugin::PricingContext& ctx) {
-    ACIC_CHECK_MSG(ctx.cluster != nullptr, "pricing needs a cluster");
-    return ctx.cluster->cost_of(ctx.duration);
-  };
-  acic::plugin::pricings().add(std::move(p));
-}
-
-// 2013 EBS billing refinement: Eq. (1) plus volume-hour and per-I/O
-// charges.  Uses the caller's DetailedPricing rates when supplied,
-// otherwise the defaults above.
-ACIC_REGISTER_PLUGIN(detailed_pricing) {
-  acic::plugin::PricingPlugin p;
-  p.name = "detailed";
-  p.description = "Eq. (1) plus EBS volume-hour and per-I/O charges";
-  p.schema.version = 1;
-  p.schema.knobs = {{"ebs_gb_month", {0.10}},
-                    {"ebs_per_million_ios", {0.10}},
-                    {"ebs_volume_size", {200.0 * acic::GiB}},
-                    {"hours_per_month", {720.0}}};
-  p.cost = [](const acic::plugin::PricingContext& ctx) {
-    ACIC_CHECK_MSG(ctx.cluster != nullptr, "pricing needs a cluster");
-    const acic::cloud::DetailedPricing defaults;
-    const auto& rates = ctx.detailed != nullptr ? *ctx.detailed : defaults;
-    return rates.run_cost(*ctx.cluster, ctx.duration, ctx.io_operations);
-  };
-  acic::plugin::pricings().add(std::move(p));
-}
-
-// Spot-market billing: discounted instance-hours plus per-restart
-// reacquisition fees.  Uses the caller's SpotPricing terms when supplied,
-// otherwise the defaults above.
-ACIC_REGISTER_PLUGIN(spot_pricing) {
-  acic::plugin::PricingPlugin p;
-  p.name = "spot";
-  p.description =
-      "spot-market Eq. (1): discounted rate plus per-restart fees";
-  p.schema.version = 1;
-  p.schema.knobs = {{"price_factor", {0.35}}, {"per_restart_cost", {0.08}}};
-  p.cost = [](const acic::plugin::PricingContext& ctx) {
-    ACIC_CHECK_MSG(ctx.cluster != nullptr, "pricing needs a cluster");
-    const acic::cloud::SpotPricing defaults;
-    const auto& terms = ctx.spot != nullptr ? *ctx.spot : defaults;
-    return terms.run_cost(*ctx.cluster, ctx.duration, ctx.restarts);
-  };
-  acic::plugin::pricings().add(std::move(p));
-}

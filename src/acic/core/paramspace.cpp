@@ -19,15 +19,16 @@ double nearest(const std::vector<double>& values, double x) {
   return best;
 }
 
-// Sorted union of one declared knob's values across the default-grid
-// filesystem plugins.  For the seed substrates this reproduces the old
-// hard-wired grids: io_servers {1,2,4}, stripe_size {64 KiB, 4 MiB}.
-std::vector<double> grid_knob_values(const char* knob_name) {
+// Sorted union of one grid across the default-grid filesystems.  For
+// the seed substrates this reproduces the paper's Table 1 grids:
+// io_servers {1,2,4}, stripe_sizes {64 KiB, 4 MiB}.
+template <class T>
+std::vector<double> grid_union(
+    std::vector<T> plugin::FilesystemPlugin::*grid) {
   std::vector<double> out;
   for (const auto* fs : plugin::default_grid_filesystems()) {
-    if (const auto* knob = fs->schema.find(knob_name)) {
-      out.insert(out.end(), knob->values.begin(), knob->values.end());
-    }
+    const auto& values = fs->*grid;
+    out.insert(out.end(), values.begin(), values.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -45,19 +46,16 @@ std::vector<double> grid_filesystem_levels() {
 }  // namespace
 
 const std::vector<DimensionSpec>& ParamSpace::dimensions() {
-  // The system-side grids come from the plugin registry; fail loudly if
-  // someone asks before static init has registered the substrates
-  // (rather than caching an empty grid forever).
-  ACIC_CHECK_MSG(!plugin::default_grid_filesystems().empty(),
-                 "ParamSpace::dimensions() called before filesystem "
-                 "plugins registered");
+  // The system-side grids come from the filesystem table.
   static const std::vector<DimensionSpec> kDims = {
       {kDevice, "Disk device", {0, 1}, true},
       {kFileSystem, "File system", grid_filesystem_levels(), true},
       {kInstanceType, "Instance type", {0, 1}, true},
-      {kIoServers, "I/O server number", grid_knob_values("io_servers"), true},
+      {kIoServers, "I/O server number",
+       grid_union(&plugin::FilesystemPlugin::io_servers), true},
       {kPlacement, "Placement", {0, 1}, true},
-      {kStripeSize, "Stripe size", grid_knob_values("stripe_size"), true},
+      {kStripeSize, "Stripe size",
+       grid_union(&plugin::FilesystemPlugin::stripe_sizes), true},
       {kNumProcs, "Num. of all processes", {32, 64, 128, 256}, false},
       {kNumIoProcs, "Num. of I/O processes", {32, 64, 128, 256}, false},
       {kInterface, "I/O interface", {0, 1}, false},

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "acic/common/error.hpp"
 #include "acic/common/mutex.hpp"
@@ -76,14 +77,18 @@ std::vector<std::string> csv_header() {
 
 /// Parses one whole CSV cell.  std::stod/std::stoi stop at the first bad
 /// character, so "50junk" would load as 50 and a repeats cell "3.9" as 3;
-/// a cell is corrupt unless the number spans all of it.
+/// a cell is corrupt unless the number spans all of it.  std::from_chars
+/// also accepts "nan" and "inf", which no sampled point or measurement
+/// can be.
 template <typename T>
 T parse_cell(const CsvTable& table, std::size_t row_number, std::size_t col) {
   const std::string& cell = table.rows[row_number - 1][col];
   const char* end = cell.data() + cell.size();
   T value{};
   const auto [stop, error] = std::from_chars(cell.data(), end, value);
-  if (error != std::errc() || stop != end) {
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
+  if (error != std::errc() || stop != end || !finite) {
     throw Error("training CSV row " + std::to_string(row_number) +
                 " has a malformed numeric field '" + cell + "' in column '" +
                 table.header[col] + "'");

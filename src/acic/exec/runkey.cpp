@@ -1,6 +1,5 @@
 #include "acic/exec/runkey.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +7,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "acic/plugin/substrates.hpp"
 
@@ -120,23 +118,6 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
                             ? 0.0
                             : config.stripe_size);
   c.field("cfg.raid", config.effective_raid_members());
-
-  // Plugin-declared knobs fold in under their own versioned sub-block.
-  // An empty knob list contributes zero bytes, keeping every pre-plugin
-  // key bit-identical (the golden-RunKey regression pins this); the
-  // substrate's schema version participates so re-interpreting a knob
-  // misses the cache instead of serving stale rows.
-  if (!config.plugin_knobs.empty()) {
-    const auto& substrate = plugin::filesystem_for(config.fs);
-    c.mark("cfg.knobs.v1");
-    c.field("cfg.knobs.schema",
-            static_cast<int>(substrate.schema.version));
-    std::vector<std::pair<std::string, double>> knobs = config.plugin_knobs;
-    std::sort(knobs.begin(), knobs.end());
-    for (const auto& [name, value] : knobs) {
-      c.field("k." + name, value);
-    }
-  }
 
   // --- Workload (application half) -----------------------------------
   // Hash the *normalized* shape: run_workload normalizes before

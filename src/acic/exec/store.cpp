@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>  // std::once_flag / std::call_once only (see acic_lint.py)
 #include <sstream>
 #include <string_view>
@@ -117,6 +118,11 @@ bool parse_row(const std::string& line, RunKey& key, io::RunResult& r) {
       !parse_u64(cells[15], r.restarts) ||
       !parse_double(cells[16], r.lost_sim_time) ||
       !parse_double(cells[17], r.checkpoint_bytes)) {
+    return false;
+  }
+  // An instance count beyond int would narrow to a small, believable one.
+  if (instances > static_cast<std::uint64_t>(
+                      std::numeric_limits<int>::max())) {
     return false;
   }
   r.num_instances = static_cast<int>(instances);

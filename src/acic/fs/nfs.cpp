@@ -136,22 +136,24 @@ sim::Task NfsModel::close_file(int rank) {
 
 }  // namespace acic::fs
 
-// NFS substrate registration: the single-server baseline (point 0 of
-// the kFileSystem dimension).  No striping, so the only declared knob
-// is the degenerate io_servers grid {1}.
-ACIC_REGISTER_PLUGIN(nfs_filesystem) {
-  acic::plugin::FilesystemPlugin p;
+namespace acic::plugin {
+
+// The single-server baseline (point 0 of the kFileSystem dimension): no
+// striping, so its only grid is the degenerate io_servers {1}.
+FilesystemPlugin nfs_filesystem() {
+  FilesystemPlugin p;
   p.name = "nfs";
   p.label_stem = "nfs";
   p.aliases = {"NFS"};
-  p.type = acic::cloud::FileSystemType::kNfs;
+  p.type = cloud::FileSystemType::kNfs;
   p.single_server = true;
   p.in_default_grid = true;
-  p.schema.version = 1;
-  p.schema.knobs = {{"io_servers", {1.0}}};
-  p.make = [](acic::cloud::ClusterModel& cluster,
-              const acic::fs::FsTuning& tuning) {
-    return std::make_unique<acic::fs::NfsModel>(cluster, tuning);
+  p.io_servers = {1};
+  p.make = [](cloud::ClusterModel& cluster,
+              const fs::FsTuning& tuning) -> std::unique_ptr<fs::FileSystem> {
+    return std::make_unique<fs::NfsModel>(cluster, tuning);
   };
-  acic::plugin::filesystems().add(std::move(p));
+  return p;
 }
+
+}  // namespace acic::plugin

@@ -6,7 +6,6 @@
 #include "acic/io/middleware.hpp"
 #include "acic/mpi/runtime.hpp"
 #include "acic/obs/metrics.hpp"
-#include "acic/plugin/substrates.hpp"
 #include "acic/simcore/simulator.hpp"
 
 namespace acic::io {
@@ -112,23 +111,16 @@ RunResult run_workload(const Workload& workload,
 
   result.total_time = simulator.now();
   result.fs_requests = filesystem->requests_served();
-  {
-    // Pricing goes through the plugin registry; the RunOptions shim
-    // maps a present spot_pricing onto the "spot" plugin, a present
-    // detailed_pricing onto the "detailed" plugin and everything else
-    // onto the paper's Eq. (1).
-    plugin::PricingContext ctx;
-    ctx.cluster = &cluster;
-    ctx.duration = result.total_time;
-    ctx.io_operations = result.fs_requests;
-    ctx.detailed =
-        options.detailed_pricing ? &*options.detailed_pricing : nullptr;
-    ctx.restarts = result.restarts;
-    ctx.spot = options.spot_pricing ? &*options.spot_pricing : nullptr;
-    const char* pricing_name = options.spot_pricing      ? "spot"
-                               : options.detailed_pricing ? "detailed"
-                                                          : "eq1";
-    result.cost = plugin::pricings().lookup(pricing_name).cost(ctx);
+  // Spot billing wins over the detailed EBS bill; without either the
+  // run is billed by the paper's Eq. (1).
+  if (options.spot_pricing) {
+    result.cost = options.spot_pricing->run_cost(cluster, result.total_time,
+                                                 result.restarts);
+  } else if (options.detailed_pricing) {
+    result.cost = options.detailed_pricing->run_cost(
+        cluster, result.total_time, result.fs_requests);
+  } else {
+    result.cost = cluster.cost_of(result.total_time);
   }
   result.io_time = middleware.io_time();
   result.num_instances = cluster.num_instances();

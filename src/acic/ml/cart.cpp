@@ -335,16 +335,13 @@ std::string CartTree::dump(
 
 }  // namespace acic::ml
 
+namespace acic::plugin {
+
 // The paper's learner (§4: a CART regression tree per objective).
-ACIC_REGISTER_PLUGIN(cart_learner) {
-  acic::plugin::LearnerPlugin p;
-  p.name = "cart";
-  p.description = "CART regression tree (the paper's model)";
-  p.schema.version = 1;
-  p.schema.knobs = {{"min_leaf", {2.0}}, {"max_depth", {16.0}}};
-  p.make = [] {
-    return std::unique_ptr<acic::ml::Learner>(
-        std::make_unique<acic::ml::CartTree>());
-  };
-  acic::plugin::learners().add(std::move(p));
+LearnerPlugin cart_learner() {
+  return {"cart", []() -> std::unique_ptr<ml::Learner> {
+            return std::make_unique<ml::CartTree>();
+          }};
 }
+
+}  // namespace acic::plugin

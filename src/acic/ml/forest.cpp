@@ -69,15 +69,12 @@ double ForestRegressor::prediction_stddev(
 
 }  // namespace acic::ml
 
-ACIC_REGISTER_PLUGIN(forest_learner) {
-  acic::plugin::LearnerPlugin p;
-  p.name = "forest";
-  p.description = "bootstrap-aggregated CART forest";
-  p.schema.version = 1;
-  p.schema.knobs = {{"trees", {25.0}}, {"bootstrap_fraction", {1.0}}};
-  p.make = [] {
-    return std::unique_ptr<acic::ml::Learner>(
-        std::make_unique<acic::ml::ForestRegressor>());
-  };
-  acic::plugin::learners().add(std::move(p));
+namespace acic::plugin {
+
+LearnerPlugin forest_learner() {
+  return {"forest", []() -> std::unique_ptr<ml::Learner> {
+            return std::make_unique<ml::ForestRegressor>();
+          }};
 }
+
+}  // namespace acic::plugin

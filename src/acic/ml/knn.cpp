@@ -119,28 +119,18 @@ double LinearRegressor::predict(std::span<const double> features) const {
 
 }  // namespace acic::ml
 
-ACIC_REGISTER_PLUGIN(knn_learner) {
-  acic::plugin::LearnerPlugin p;
-  p.name = "knn";
-  p.description = "k-nearest-neighbour baseline";
-  p.schema.version = 1;
-  p.schema.knobs = {{"k", {5.0}}};
-  p.make = [] {
-    return std::unique_ptr<acic::ml::Learner>(
-        std::make_unique<acic::ml::KnnRegressor>());
-  };
-  acic::plugin::learners().add(std::move(p));
+namespace acic::plugin {
+
+LearnerPlugin knn_learner() {
+  return {"knn", []() -> std::unique_ptr<ml::Learner> {
+            return std::make_unique<ml::KnnRegressor>();
+          }};
 }
 
-ACIC_REGISTER_PLUGIN(linear_learner) {
-  acic::plugin::LearnerPlugin p;
-  p.name = "linear";
-  p.description = "ridge-regularised linear baseline";
-  p.schema.version = 1;
-  p.schema.knobs = {{"ridge", {1e-6}}};
-  p.make = [] {
-    return std::unique_ptr<acic::ml::Learner>(
-        std::make_unique<acic::ml::LinearRegressor>());
-  };
-  acic::plugin::learners().add(std::move(p));
+LearnerPlugin linear_learner() {
+  return {"linear", []() -> std::unique_ptr<ml::Learner> {
+            return std::make_unique<ml::LinearRegressor>();
+          }};
 }
+
+}  // namespace acic::plugin

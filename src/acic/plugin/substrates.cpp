@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace acic::plugin {
 
@@ -23,14 +22,16 @@ void FilesystemPlugin::configure(cloud::IoConfig& config, int io_servers,
   }
 }
 
-Registry<FilesystemPlugin>& filesystems() {
-  static Registry<FilesystemPlugin> registry(Kind::kFilesystem);
-  return registry;
+const Registry<FilesystemPlugin>& filesystems() {
+  static const Registry<FilesystemPlugin> table(
+      Kind::kFilesystem,
+      {nfs_filesystem(), pvfs2_filesystem(), lustre_filesystem()});
+  return table;
 }
 
 const FilesystemPlugin& filesystem_for(cloud::FileSystemType type) {
-  for (const FilesystemPlugin* p : filesystems().all()) {
-    if (p->type == type) return *p;
+  for (const FilesystemPlugin& p : filesystems().all()) {
+    if (p.type == type) return p;
   }
   throw PluginError(ErrorCode::kUnknownName, Kind::kFilesystem,
                     "enum#" + std::to_string(static_cast<int>(type)),
@@ -40,10 +41,10 @@ const FilesystemPlugin& filesystem_for(cloud::FileSystemType type) {
 const FilesystemPlugin& filesystem_for_level(double level) {
   const FilesystemPlugin* best = nullptr;
   double best_distance = 0.0;
-  for (const FilesystemPlugin* p : filesystems().all()) {
-    const double distance = std::abs(p->level() - level);
+  for (const FilesystemPlugin& p : filesystems().all()) {
+    const double distance = std::abs(p.level() - level);
     if (best == nullptr || distance < best_distance) {
-      best = p;
+      best = &p;
       best_distance = distance;
     }
   }
@@ -55,75 +56,64 @@ const FilesystemPlugin& filesystem_for_level(double level) {
 }
 
 const FilesystemPlugin& filesystem_named(std::string_view spelling) {
-  detail::count_lookup();
-  for (const FilesystemPlugin* p : filesystems().all()) {
-    if (p->matches(spelling)) return *p;
+  for (const FilesystemPlugin& p : filesystems().all()) {
+    if (p.matches(spelling)) return p;
   }
-  detail::count_lookup_miss();
   throw PluginError(ErrorCode::kUnknownName, Kind::kFilesystem,
                     std::string(spelling), filesystems().names());
 }
 
-std::vector<const FilesystemPlugin*> default_grid_filesystems() {
-  std::vector<const FilesystemPlugin*> grid;
-  for (const FilesystemPlugin* p : filesystems().all()) {
-    if (p->in_default_grid) grid.push_back(p);
-  }
-  std::sort(grid.begin(), grid.end(),
-            [](const FilesystemPlugin* a, const FilesystemPlugin* b) {
-              return a->type < b->type;
-            });
+const std::vector<const FilesystemPlugin*>& default_grid_filesystems() {
+  static const std::vector<const FilesystemPlugin*> grid = [] {
+    std::vector<const FilesystemPlugin*> out;
+    for (const FilesystemPlugin& p : filesystems().all()) {
+      if (p.in_default_grid) out.push_back(&p);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const FilesystemPlugin* a, const FilesystemPlugin* b) {
+                return a->type < b->type;
+              });
+    return out;
+  }();
   return grid;
 }
 
-Registry<LearnerPlugin>& learners() {
-  static Registry<LearnerPlugin> registry(Kind::kLearner);
-  return registry;
+const Registry<LearnerPlugin>& learners() {
+  static const Registry<LearnerPlugin> table(
+      Kind::kLearner,
+      {cart_learner(), forest_learner(), knn_learner(), linear_learner()});
+  return table;
 }
 
 std::unique_ptr<ml::Learner> make_learner(std::string_view name) {
   return learners().lookup(name).make();
 }
 
-Registry<FaultModelPlugin>& fault_models() {
-  static Registry<FaultModelPlugin> registry(Kind::kFaultModel);
-  return registry;
-}
-
-Registry<PricingPlugin>& pricings() {
-  static Registry<PricingPlugin> registry(Kind::kPricing);
-  return registry;
+const Registry<FaultModelPlugin>& fault_models() {
+  static const Registry<FaultModelPlugin> table(Kind::kFaultModel,
+                                                fault_presets());
+  return table;
 }
 
 namespace {
 
 template <class Plugin>
-void append_inventory(const Registry<Plugin>& registry,
+void append_inventory(const Registry<Plugin>& table,
                       std::vector<PluginInfo>& out) {
-  for (const Plugin* p : registry.all()) {
-    PluginInfo info;
-    info.kind = registry.kind();
-    info.name = p->name;
-    info.knob_count = p->schema.knobs.size();
-    info.schema_version = p->schema.version;
-    std::ostringstream os;
-    os << to_string(registry.kind()) << " " << p->name
-       << " knobs=" << p->schema.knobs.size() << " schema=v"
-       << p->schema.version;
-    info.summary = os.str();
-    out.push_back(std::move(info));
-  }
+  for (const Plugin& p : table.all()) out.push_back({table.kind(), p.name});
 }
 
 }  // namespace
 
-std::vector<PluginInfo> inventory() {
-  std::vector<PluginInfo> out;
-  append_inventory(filesystems(), out);
-  append_inventory(learners(), out);
-  append_inventory(fault_models(), out);
-  append_inventory(pricings(), out);
-  return out;
+const std::vector<PluginInfo>& inventory() {
+  static const std::vector<PluginInfo> rows = [] {
+    std::vector<PluginInfo> out;
+    append_inventory(filesystems(), out);
+    append_inventory(learners(), out);
+    append_inventory(fault_models(), out);
+    return out;
+  }();
+  return rows;
 }
 
 }  // namespace acic::plugin

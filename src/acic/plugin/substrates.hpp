@@ -1,17 +1,16 @@
-// The four substrate axes behind the plugin registry (DESIGN.md §14):
-// concrete plugin types, the process-wide registries holding them, and
-// the enum→plugin bridges from IoConfig::fs (cloud::FileSystemType).
+// The three substrate axes behind the plugin registry (DESIGN.md §14):
+// concrete plugin types, the process-wide tables holding them, and the
+// enum→plugin bridges from IoConfig::fs (cloud::FileSystemType).
 //
-// Adding a substrate is one self-contained .cpp (see the README
-// "Adding a substrate" quickstart): fill in the plugin struct, declare
-// the knobs the substrate samples, and ACIC_REGISTER_PLUGIN it.  The
-// candidate enumeration, parameter-space grid, RunKey canonicalization,
-// service inventory, and protocol name parsing all pick it up from the
-// registry — no core surgery.
+// Each table is built once from the explicit seed list in
+// substrates.cpp; each seed is a plain function beside its substrate
+// (fs/nfs.cpp, ml/cart.cpp, cloud/failure.cpp, ...).  Adding a
+// substrate is one such function plus its line in that list (see the
+// README "Adding a substrate"): the candidate enumeration,
+// parameter-space grid, service inventory and protocol name parsing all
+// pick it up from the table.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -19,7 +18,6 @@
 
 #include "acic/cloud/failure.hpp"
 #include "acic/cloud/ioconfig.hpp"
-#include "acic/cloud/pricing.hpp"
 #include "acic/fs/filesystem.hpp"
 #include "acic/ml/dataset.hpp"
 #include "acic/plugin/registry.hpp"
@@ -31,12 +29,12 @@ namespace acic::plugin {
 // ---------------------------------------------------------------------
 
 /// A shared/parallel file-system substrate.  The structural flags
-/// (single_server, in_default_grid) plus the declared knobs are what
-/// used to be hard-wired `switch (config.fs)` logic in ioconfig.cpp,
-/// paramspace.cpp and filesystem.cpp.
+/// (single_server, in_default_grid) plus the server and stripe grids are
+/// what used to be hard-wired `switch (config.fs)` logic in
+/// ioconfig.cpp, paramspace.cpp and filesystem.cpp.
 struct FilesystemPlugin {
-  /// Canonical lowercase name ("nfs", "pvfs2", "lustre") — the
-  /// registry key and the protocol spelling.
+  /// Canonical lowercase name ("nfs", "pvfs2", "lustre") — the table
+  /// key and the protocol spelling.
   std::string name;
   /// Label prefix for IoConfig::label(), e.g. "pvfs" in "pvfs.4.D.eph".
   std::string label_stem;
@@ -46,7 +44,7 @@ struct FilesystemPlugin {
   /// The filesystem's one numeric identity: IoConfig::fs, the integer
   /// every RunKey hashes, and the kFileSystem paramspace level (the CART
   /// feature; 0 = NFS, 1 = PVFS2, 2 = Lustre for the seeds).  Unique per
-  /// registry: a second plugin claiming a registered type is rejected.
+  /// table: a second plugin claiming a type is rejected.
   cloud::FileSystemType type = cloud::FileSystemType::kNfs;
   /// NFS-style topology: exactly one server, no striping.  Drives the
   /// validity rules, label shape, and RunKey stripe canonicalization.
@@ -54,13 +52,13 @@ struct FilesystemPlugin {
   /// Whether enumerate_candidates() includes this substrate (the
   /// paper's Table 1 grid is NFS + PVFS2; Lustre is the extension).
   bool in_default_grid = true;
-  /// Declared knob grids: "io_servers" and, for striped systems,
-  /// "stripe_size".  paramspace derives its dimensions from these.
-  KnobSchema schema;
+  /// I/O server counts the substrate is sampled over (ascending).
+  std::vector<int> io_servers;
+  /// Stripe sizes it is sampled over (ascending; empty when single-server).
+  std::vector<Bytes> stripe_sizes;
   /// Instantiate the simulation model for a provisioned cluster.
-  std::function<std::unique_ptr<fs::FileSystem>(cloud::ClusterModel&,
-                                                const fs::FsTuning&)>
-      make;
+  std::unique_ptr<fs::FileSystem> (*make)(cloud::ClusterModel&,
+                                          const fs::FsTuning&) = nullptr;
 
   /// True when `spelling` is the name or an alias.
   bool matches(std::string_view spelling) const;
@@ -75,10 +73,10 @@ struct FilesystemPlugin {
                  Bytes stripe = 4.0 * MiB) const;
 };
 
-/// Process-wide filesystem registry (seeded by fs/{nfs,pvfs2,lustre}.cpp).
-Registry<FilesystemPlugin>& filesystems();
+/// Process-wide filesystem table.
+const Registry<FilesystemPlugin>& filesystems();
 
-/// Enum→plugin bridge: the plugin registered with this `type`.
+/// Enum→plugin bridge: the plugin with this `type`.
 const FilesystemPlugin& filesystem_for(cloud::FileSystemType type);
 
 /// Paramspace-level→plugin bridge: nearest registered level() (the
@@ -91,7 +89,7 @@ const FilesystemPlugin& filesystem_named(std::string_view spelling);
 
 /// Default-grid substrates in level() order — the iteration order of
 /// IoConfig::enumerate_candidates(), which must stay byte-stable.
-std::vector<const FilesystemPlugin*> default_grid_filesystems();
+const std::vector<const FilesystemPlugin*>& default_grid_filesystems();
 
 // ---------------------------------------------------------------------
 // Learners
@@ -100,15 +98,12 @@ std::vector<const FilesystemPlugin*> default_grid_filesystems();
 struct LearnerPlugin {
   /// Canonical lowercase name: "cart", "forest", "knn", "linear".
   std::string name;
-  std::string description;
-  /// Declared hyper-parameters (defaults), for the inventory.
-  KnobSchema schema;
   /// Construct a fresh, unfitted learner.
-  std::function<std::unique_ptr<ml::Learner>()> make;
+  std::unique_ptr<ml::Learner> (*make)() = nullptr;
 };
 
-/// Process-wide learner registry (seeded by ml/{cart,forest,knn}.cpp).
-Registry<LearnerPlugin>& learners();
+/// Process-wide learner table.
+const Registry<LearnerPlugin>& learners();
 
 /// Construct the named learner; throws PluginError listing registered
 /// learner names on a miss.
@@ -122,62 +117,37 @@ std::unique_ptr<ml::Learner> make_learner(std::string_view name);
 /// are data, not factories — the injector consumes the model directly.
 struct FaultModelPlugin {
   std::string name;
-  std::string description;
-  /// The preset's non-default rates/shapes, for the inventory.
-  KnobSchema schema;
   cloud::FaultModel model;
 };
 
-/// Process-wide fault-preset registry (seeded by cloud/failure.cpp).
-Registry<FaultModelPlugin>& fault_models();
+/// Process-wide fault-preset table.
+const Registry<FaultModelPlugin>& fault_models();
 
 // ---------------------------------------------------------------------
-// Pricing models
+// Seeds, each defined beside its substrate
 // ---------------------------------------------------------------------
 
-/// Everything a pricing model may charge for.  `detailed` carries the
-/// caller's DetailedPricing rates when one was supplied (the "detailed"
-/// plugin falls back to the 2013 defaults when it is null); `spot` and
-/// `restarts` feed the spot-market plugin's discount + reacquisition-fee
-/// terms the same way.
-struct PricingContext {
-  const cloud::ClusterModel* cluster = nullptr;
-  SimTime duration = 0.0;
-  std::uint64_t io_operations = 0;
-  const cloud::DetailedPricing* detailed = nullptr;
-  /// Replacement servers acquired after preemptions during the run.
-  std::uint64_t restarts = 0;
-  const cloud::SpotPricing* spot = nullptr;
-};
-
-struct PricingPlugin {
-  /// Canonical name: "eq1" (the paper's Eq. (1)) or "detailed".
-  std::string name;
-  std::string description;
-  /// Declared rate knobs (defaults), for the inventory.
-  KnobSchema schema;
-  std::function<Money(const PricingContext&)> cost;
-};
-
-/// Process-wide pricing registry (seeded by cloud/pricing.cpp).
-Registry<PricingPlugin>& pricings();
+FilesystemPlugin nfs_filesystem();              // fs/nfs.cpp
+FilesystemPlugin pvfs2_filesystem();            // fs/pvfs2.cpp
+FilesystemPlugin lustre_filesystem();           // fs/lustre.cpp
+LearnerPlugin cart_learner();                   // ml/cart.cpp
+LearnerPlugin forest_learner();                 // ml/forest.cpp
+LearnerPlugin knn_learner();                    // ml/knn.cpp
+LearnerPlugin linear_learner();                 // ml/knn.cpp
+std::vector<FaultModelPlugin> fault_presets();  // cloud/failure.cpp
 
 // ---------------------------------------------------------------------
 // Inventory
 // ---------------------------------------------------------------------
 
-/// One row of the cross-axis inventory (the `plugins` verb and
-/// acic_serve --help): kind + name + knob count + schema version.
+/// One row of the cross-axis inventory (the `plugins` and `stats` verbs
+/// and acic_serve --help), rendered as "<kind> <name>".
 struct PluginInfo {
   Kind kind = Kind::kFilesystem;
   std::string name;
-  std::size_t knob_count = 0;
-  int schema_version = 1;
-  std::string summary;
 };
 
-/// Every registered plugin across all four axes, kind-major then
-/// name-sorted (deterministic).
-std::vector<PluginInfo> inventory();
+/// Every plugin across the three axes, kind-major then name-sorted.
+const std::vector<PluginInfo>& inventory();
 
 }  // namespace acic::plugin

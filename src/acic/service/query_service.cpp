@@ -61,26 +61,8 @@ std::string verb_of(const std::string& line) {
 
 /// parse_count, bounded to int for the workload fields.
 int parse_int_field(const std::string& key, const std::string& text) {
-  const std::size_t v = parse_count(key, text);
-  if (v > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
-    throw Error(key + "='" + text + "' is out of range");
-  }
-  return static_cast<int>(v);
-}
-
-/// Non-negative, finite double protocol field (fault-model knobs).
-double parse_nonneg_double(const std::string& key, const std::string& text) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &pos);
-  } catch (const std::exception&) {
-    throw Error(key + "='" + text + "' is not a number");
-  }
-  if (pos != text.size() || !std::isfinite(v) || v < 0.0) {
-    throw Error(key + "='" + text + "' must be a non-negative number");
-  }
-  return v;
+  return static_cast<int>(
+      parse_count(key, text, std::numeric_limits<int>::max()));
 }
 
 /// Keys of the simulate verb that are *not* workload keys.
@@ -111,21 +93,47 @@ Bytes parse_size(const std::string& text) {
     // the offending input instead.
     throw Error("malformed size literal '" + text + "'");
   }
-  if (!std::isfinite(value) || value <= 0.0) {
-    throw Error("size literal '" + text + "' must be positive and finite");
-  }
   std::string unit = text.substr(pos);
   std::transform(unit.begin(), unit.end(), unit.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  if (unit.empty() || unit == "b") return value;
-  if (unit == "kib" || unit == "kb" || unit == "k") return value * KiB;
-  if (unit == "mib" || unit == "mb" || unit == "m") return value * MiB;
-  if (unit == "gib" || unit == "gb" || unit == "g") return value * GiB;
-  if (unit == "tib" || unit == "tb" || unit == "t") return value * TiB;
-  throw Error("unknown size unit '" + unit + "'");
+  Bytes scale = 0.0;
+  if (unit.empty() || unit == "b") {
+    scale = 1.0;
+  } else if (unit == "kib" || unit == "kb" || unit == "k") {
+    scale = KiB;
+  } else if (unit == "mib" || unit == "mb" || unit == "m") {
+    scale = MiB;
+  } else if (unit == "gib" || unit == "gb" || unit == "g") {
+    scale = GiB;
+  } else if (unit == "tib" || unit == "tb" || unit == "t") {
+    scale = TiB;
+  } else {
+    throw Error("unknown size unit '" + unit + "'");
+  }
+  // Checked after the multiply: "1e300TiB" overflows to +inf only there.
+  const Bytes bytes = value * scale;
+  if (!std::isfinite(bytes) || bytes <= 0.0) {
+    throw Error("size literal '" + text + "' must be positive and finite");
+  }
+  return bytes;
 }
 
-std::size_t parse_count(const std::string& key, const std::string& text) {
+double parse_nonneg_double(const std::string& key, const std::string& text) {
+  std::size_t pos = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(text, &pos);
+  } catch (const std::exception&) {
+    throw Error(key + "='" + text + "' is not a number");
+  }
+  if (pos != text.size() || !std::isfinite(v) || v < 0.0) {
+    throw Error(key + "='" + text + "' must be a non-negative number");
+  }
+  return v;
+}
+
+std::size_t parse_count(const std::string& key, const std::string& text,
+                        std::size_t max) {
   const bool all_digits =
       !text.empty() &&
       std::all_of(text.begin(), text.end(),
@@ -133,11 +141,14 @@ std::size_t parse_count(const std::string& key, const std::string& text) {
   if (!all_digits) {
     throw Error(key + " must be a non-negative integer, got '" + text + "'");
   }
+  std::size_t value = 0;
   try {
-    return static_cast<std::size_t>(std::stoull(text));
+    value = static_cast<std::size_t>(std::stoull(text));
   } catch (const std::exception&) {
     throw Error(key + "='" + text + "' is out of range");
   }
+  if (value > max) throw Error(key + "='" + text + "' is out of range");
+  return value;
 }
 
 io::Workload parse_workload_query(const std::string& line) {
@@ -724,23 +735,19 @@ std::string QueryService::handle_stats(const Engine& engine) {
   os << "  learners=" << (trained.empty() ? "none" : trained)
      << " primary=" << engine.primary_learner() << "\n";
   for (const auto& info : plugin::inventory()) {
-    os << "  plugin " << info.summary << "\n";
+    os << "  plugin " << plugin::to_string(info.kind) << " " << info.name
+       << "\n";
   }
   os << obs::MetricsRegistry::global().snapshot().to_text("  ");
   return os.str();
 }
 
 std::string QueryService::handle_plugins() {
-  const auto inv = plugin::inventory();
+  const auto& inv = plugin::inventory();
   std::ostringstream os;
   os << "ok " << inv.size() << " plugins registered\n";
   for (const auto& info : inv) {
-    os << "  " << info.summary << "\n";
-  }
-  // A healthy binary has none of these; surfacing them here is what
-  // keeps "registration never aborts" honest.
-  for (const auto& err : plugin::registration_errors()) {
-    os << "  registration-error " << err << "\n";
+    os << "  " << plugin::to_string(info.kind) << " " << info.name << "\n";
   }
   return os.str();
 }
@@ -759,7 +766,7 @@ std::string QueryService::help_text() {
       "           [chaos keys]\n"
       "  stats\n"
       "  plugins   (registered substrates: filesystems, learners,\n"
-      "             fault-model presets, pricing models)\n"
+      "             fault-model presets)\n"
       "  workload keys: np io_procs interface iterations data request op\n"
       "                 collective shared (sizes like 4MiB, 256KiB)\n"
       "  chaos keys: seed failures brownouts brownout_fraction stragglers\n"

@@ -19,8 +19,8 @@
 //             permanent= retry= timeout= attempts= watchdog=]
 //                                         — one chaos run, reproducible
 //   stats                                 — database + request metrics
-//   plugins                               — substrate inventory (kind,
-//                                           name, knob count, schema)
+//   plugins                               — substrate inventory, one
+//                                           "<kind> <name>" line each
 //   help
 //
 // recommend/predict additionally accept learner=<name> (any registered
@@ -52,6 +52,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -73,10 +74,17 @@ namespace acic::service {
 /// "-4MiB", "nan", or a bare unit) throws acic::Error naming the input.
 Bytes parse_size(const std::string& text);
 
+/// Parse a non-negative, finite number (failures=…, timeout=…, and the
+/// examples' rate and deadline flags).  Trailing junk ("4junk"),
+/// negative values, nan and inf throw acic::Error naming the key and text.
+double parse_nonneg_double(const std::string& key, const std::string& text);
+
 /// Parse a non-negative integer protocol field (top_k=…, np=…).  Signs,
-/// non-digit characters, and out-of-range values throw acic::Error with
+/// non-digit characters, and values above `max` throw acic::Error with
 /// the offending key and text (std::stoul would happily wrap "-1").
-std::size_t parse_count(const std::string& key, const std::string& text);
+std::size_t parse_count(
+    const std::string& key, const std::string& text,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
 
 /// Parse one protocol line into a workload description.  Unknown keys
 /// throw; missing keys keep the defaults below.

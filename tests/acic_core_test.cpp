@@ -160,6 +160,14 @@ TEST(TrainingDatabaseGuard, FromCsvRejectsCorruptRows) {
   fractional_repeats.rows[0][static_cast<std::size_t>(kNumDims) + 5] = "3.9";
   EXPECT_THROW(TrainingDatabase::from_csv(fractional_repeats), Error);
 
+  // std::from_chars parses "nan" and "inf"; no dimension cell may hold one.
+  for (const char* non_finite : {"nan", "inf", "-inf"}) {
+    auto corrupt_dim = table;
+    corrupt_dim.rows[0][static_cast<std::size_t>(kDataSize)] = non_finite;
+    EXPECT_THROW(TrainingDatabase::from_csv(corrupt_dim), Error)
+        << non_finite;
+  }
+
   // The header must match to_csv()'s names, not just its arity: swapped
   // time/cost names would load each value into the other's field.
   auto swapped = table;

@@ -79,6 +79,15 @@ TEST(ParseSize, RejectsNonPositiveAndNonFiniteValues) {
   EXPECT_THROW(parse_size("nan"), Error);
   EXPECT_THROW(parse_size("inf"), Error);
   EXPECT_THROW(parse_size("1e999"), Error);  // stod out_of_range
+  // Finite before the unit multiply, +inf after it.
+  EXPECT_THROW(parse_size("1e300TiB"), Error);
+  EXPECT_THROW(parse_workload_query("predict np=1 io_procs=1 "
+                                    "data=1e300TiB request=1e300TiB"),
+               Error);
+  const auto sim = make_service().handle(
+      "simulate config=nfs.D.ebs np=1 io_procs=1 interface=POSIX "
+      "iterations=1 data=1e300TiB request=1e300TiB op=write shared=no");
+  EXPECT_EQ(sim.rfind("error ", 0), 0u) << sim;
 }
 
 TEST(ParseSize, ErrorsNameTheOffendingText) {
@@ -113,6 +122,10 @@ TEST(ParseCount, RejectsSignsGarbageAndOverflow) {
   EXPECT_THROW(parse_count("top_k", "+3"), Error);
   EXPECT_THROW(parse_count("top_k", ""), Error);
   EXPECT_THROW(parse_count("top_k", "99999999999999999999999999"), Error);
+  // An explicit bound: the largest value passes, one more does not.
+  EXPECT_EQ(parse_count("np", "2147483647", 2147483647), 2147483647u);
+  EXPECT_THROW(parse_count("np", "2147483648", 2147483647), Error);
+  EXPECT_THROW(parse_workload_query("predict np=2147483648"), Error);
   try {
     parse_count("top_k", "abc");
     FAIL() << "expected Error";
@@ -621,12 +634,15 @@ TEST(QueryServiceTest, UnknownLearnerNameFailsServiceStartup) {
 TEST(QueryServiceTest, PluginsVerbListsEverySeedSubstrate) {
   auto svc = make_service();
   const auto resp = svc.handle("plugins");
-  EXPECT_EQ(resp.rfind("ok ", 0), 0u) << resp;
-  for (const char* name :
-       {"nfs", "pvfs2", "lustre", "cart", "forest", "knn", "linear",
-        "outages", "brownouts", "stragglers", "eq1", "detailed"}) {
-    EXPECT_NE(resp.find(std::string(" ") + name + " "), std::string::npos)
-        << "missing " << name << " in:\n" << resp;
+  EXPECT_EQ(resp.rfind("ok 13 plugins registered\n", 0), 0u) << resp;
+  for (const char* line :
+       {"filesystem lustre", "filesystem nfs", "filesystem pvfs2",
+        "learner cart", "learner forest", "learner knn", "learner linear",
+        "fault-model brownouts", "fault-model lossy-az", "fault-model none",
+        "fault-model outages", "fault-model spot-preempt",
+        "fault-model stragglers"}) {
+    EXPECT_NE(resp.find(std::string("\n  ") + line + "\n"), std::string::npos)
+        << "missing " << line << " in:\n" << resp;
   }
   // Deterministic: two calls render byte-identically.
   EXPECT_EQ(resp, svc.handle("plugins"));

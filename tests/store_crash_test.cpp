@@ -397,10 +397,18 @@ TEST(RunStoreRecovery, OverflowingCounterCellIsQuarantined) {
                                  ",1,1,1,1,18446744073709551615,1,1,ok,"
                                  "0,0,0,0,0,0,0,0,0")
         << "\n";
+    // An instance count that fits u64 but not int must not narrow: 2^32+1
+    // would otherwise load as num_instances=1.
+    out << exec::RunStore::frame(std::string(32, 'c') +
+                                 ",1,1,1,4294967297,1,1,1,ok,"
+                                 "0,0,0,0,0,0,0,0,0")
+        << "\n";
   }
   exec::RunStore store(dir.str());
-  EXPECT_EQ(store.quarantined(), 1u);
+  EXPECT_EQ(store.quarantined(), 2u);
   EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(
+      store.lookup(*exec::RunKey::from_hex(std::string(32, 'c'))).has_value());
   const auto max_row =
       store.lookup(*exec::RunKey::from_hex(std::string(32, 'b')));
   ASSERT_TRUE(max_row.has_value());

@@ -41,7 +41,7 @@ express, enforced over `src/acic`:
                    justification comment on the same line or within the
                    two preceding lines.
 
-  plugin-dispatch  Substrate dispatch belongs to the plugin registry
+  plugin-dispatch  Substrate dispatch belongs to the substrate tables
                    (src/acic/plugin/, DESIGN.md §14): `switch`-style
                    `case FileSystemType::...` branching and direct
                    construction of concrete learners
@@ -49,10 +49,10 @@ express, enforced over `src/acic`:
                    KnnRegressor/LinearRegressor>) are banned outside the
                    plugin layer and the substrates' own homes (the
                    learner implementations in src/acic/ml/ construct
-                   themselves inside their registration blocks).
+                   themselves inside their seed functions).
                    Everything else resolves substrates by name through
-                   acic::plugin so out-of-tree registrations are picked
-                   up everywhere at once.
+                   acic::plugin so a new seed is picked up everywhere at
+                   once.
 
 Engines: the primary engine is textual (comment/string-aware token
 scanning) and needs nothing beyond the Python standard library.  When the
@@ -95,12 +95,12 @@ RAW_IO_ALLOWED_FILES = {"src/acic/exec/store.cpp"}
 RAW_IO_ALLOWED_DIRS = ("src/acic/common/",)
 
 # Directories where substrate dispatch / concrete-learner construction is
-# legal: the registry layer itself and the learner implementations (each
-# constructs itself inside its ACIC_REGISTER_PLUGIN block).
+# legal: the table layer itself and the learner implementations (each
+# constructs itself inside its seed function, e.g. cart_learner()).
 PLUGIN_DISPATCH_ALLOWED_DIRS = ("src/acic/plugin/", "src/acic/ml/")
 
 # `case FileSystemType::kNfs:`-style enum dispatch — the pattern the
-# registry refactor removed; a new one means a substrate axis is being
+# substrate tables replaced; a new one means a substrate axis is being
 # rewired around the plugin layer.
 FS_SWITCH_DISPATCH = re.compile(r"\bcase\s+(?:cloud\s*::\s*)?FileSystemType\s*::")
 
@@ -429,7 +429,7 @@ def check_file_textual(root: str, path: str, table: Optional[str],
                 relpath, line_of(stripped, m.start()), RULE_PLUGIN_DISPATCH,
                 "direct concrete-learner construction outside src/acic/ml/; "
                 "use acic::plugin::make_learner(name) so the learner "
-                "registry stays the single construction path"))
+                "table stays the single construction path"))
 
     # --- tsa-suppression ---------------------------------------------
     if relpath != "src/acic/common/thread_annotations.hpp":
