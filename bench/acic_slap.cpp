@@ -15,6 +15,10 @@
 //             [--slow-bps 64] [--timeout-ms 10000] [--seed 1]
 //             [--expect-drain] [--verbose]
 //
+// Numeric flags fail closed: a malformed, negative, zero (where a count
+// must be positive) or out-of-range value exits 2 with an error naming
+// the flag, before any connection is made.
+//
 // Output: per-step and total tallies (sent / answered by type) plus
 // latency percentiles.  Exit status 0 when every normal request was
 // answered with a typed response; nonzero otherwise.  --expect-drain
@@ -25,16 +29,18 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <csignal>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "acic/common/error.hpp"
 #include "acic/net/client.hpp"
 #include "acic/net/frame.hpp"
+#include "acic/service/query_service.hpp"
 
 namespace {
 
@@ -235,15 +241,29 @@ void print_usage() {
       "                 [--expect-drain] [--verbose]\n");
 }
 
+constexpr std::size_t kIntMax = std::numeric_limits<int>::max();
+
+/// service::parse_count, also rejecting zero: for flags where 0 would
+/// make the run meaningless (no connections, no time to answer).
+std::size_t parse_positive(const std::string& flag, const std::string& text,
+                           std::size_t max) {
+  const std::size_t v = acic::service::parse_count(flag, text, max);
+  if (v == 0) {
+    throw acic::Error(flag + " must be at least 1, got '" + text + "'");
+  }
+  return v;
+}
+
+/// Comma-separated connection counts, one ramp step each; every step
+/// is a thread per connection, so the bound keeps a typo off the box.
 std::vector<int> parse_ramp(const std::string& spec) {
   std::vector<int> ramp;
   std::size_t pos = 0;
-  while (pos < spec.size()) {
+  for (;;) {
     const auto comma = spec.find(',', pos);
     const std::string tok =
         spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const int v = std::atoi(tok.c_str());
-    if (v > 0) ramp.push_back(v);
+    ramp.push_back(static_cast<int>(parse_positive("--ramp", tok, 4096)));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -253,41 +273,55 @@ std::vector<int> parse_ramp(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using acic::service::parse_count;
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      return 0;
-    } else if (arg == "--host" && i + 1 < argc) {
-      opt.host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      opt.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--ramp" && i + 1 < argc) {
-      opt.ramp = parse_ramp(argv[++i]);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      opt.requests_per_conn = std::atoi(argv[++i]);
-    } else if (arg == "--chaos") {
-      opt.chaos = true;
-    } else if (arg == "--chaos-every" && i + 1 < argc) {
-      opt.chaos_every = std::max(1, std::atoi(argv[++i]));
-    } else if (arg == "--slow-bps" && i + 1 < argc) {
-      opt.slow_bps = std::atoi(argv[++i]);
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      opt.timeout_ms = std::atol(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--expect-drain") {
-      opt.expect_drain = true;
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      print_usage();
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw acic::Error(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--help" || arg == "-h") {
+        print_usage();
+        return 0;
+      } else if (arg == "--host") {
+        opt.host = value();
+      } else if (arg == "--port") {
+        opt.port = static_cast<std::uint16_t>(
+            parse_positive(arg, value(), 65535));
+      } else if (arg == "--ramp") {
+        opt.ramp = parse_ramp(value());
+      } else if (arg == "--requests") {
+        opt.requests_per_conn =
+            static_cast<int>(parse_count(arg, value(), kIntMax));
+      } else if (arg == "--chaos") {
+        opt.chaos = true;
+      } else if (arg == "--chaos-every") {
+        opt.chaos_every =
+            static_cast<int>(parse_positive(arg, value(), kIntMax));
+      } else if (arg == "--slow-bps") {
+        opt.slow_bps = static_cast<int>(parse_count(arg, value(), kIntMax));
+      } else if (arg == "--timeout-ms") {
+        // poll(2) takes an int timeout.
+        opt.timeout_ms =
+            static_cast<long>(parse_positive(arg, value(), kIntMax));
+      } else if (arg == "--seed") {
+        opt.seed = static_cast<std::uint64_t>(parse_count(arg, value()));
+      } else if (arg == "--expect-drain") {
+        opt.expect_drain = true;
+      } else if (arg == "--verbose") {
+        opt.verbose = true;
+      } else {
+        throw acic::Error("unknown argument " + arg);
+      }
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage();
+    return 2;
   }
-  if (opt.port == 0 || opt.ramp.empty()) {
+  if (opt.port == 0) {
     print_usage();
     return 2;
   }

@@ -7,27 +7,30 @@
 //  * --listen host:port: the acic::net epoll front end — concurrent
 //    framed requests over TCP with backpressure, idle deadlines,
 //    bounded dispatch, and graceful drain (see src/acic/net/server.hpp).
-//    bench/acic_slap is the matching load generator.
+//    Overload is shed there: --threads workers run requests, and a
+//    request that finds the --net-queue work queue full gets a typed
+//    "shed ..." frame.  bench/acic_slap is the matching load generator.
 //
 // With a CSV argument the service answers from that shared database
-// (e.g. the artifact written by example_crowdsourced_training); without
-// one it bootstraps a fresh database on the simulated cloud.
+// (e.g. the acic_shared_db.csv that example_crowdsourced_training
+// writes to the temp directory); without one it bootstraps a fresh
+// database on the simulated cloud.  The database is fixed for the
+// process lifetime: serving a new one means starting a new server.
 //
 // Usage:
 //   example_acic_serve [training_db.csv] [--listen host:port]
-//                      [--threads N] [--max-inflight N]
-//                      [--deadline-us X] [--idle-ms N] [--drain-ms N]
-//                      [--max-conns N] [--net-queue N] [--quick]
+//                      [--threads N] [--deadline-us X] [--idle-ms N]
+//                      [--drain-ms N] [--max-conns N] [--net-queue N]
+//                      [--learner NAME[,NAME...]] [--quick]
 //                      [--demo] [--help]
 //
-// --max-inflight bounds admission: requests beyond N concurrently running
-// ones get a typed "shed ..." response instead of queuing.  --deadline-us
-// arms the per-request compute deadline ("timeout ..." responses); in
-// --listen mode the clock starts when the frame arrives, so queue wait
-// counts.  --quick skips PB screening and model training (identity
-// ranking, empty database → fallback answers) so smoke tests and the CI
-// loopback job start in milliseconds instead of minutes.  --demo answers
-// a mixed burst of concurrent requests across --threads workers.
+// --deadline-us arms the per-request compute deadline ("timeout ..."
+// responses); in --listen mode the clock starts when the frame arrives,
+// so queue wait counts.  --quick skips PB screening (identity ranking)
+// and, without a CSV, the training bootstrap (empty database → fallback
+// answers), so smoke tests and the CI loopback job start in milliseconds
+// instead of minutes; with a CSV the models still train on it.  --demo
+// answers a mixed burst of concurrent requests across --threads workers.
 // Numeric flags fail closed: a malformed, negative or out-of-range value
 // exits 1 with an error naming the flag, before any screening runs.
 //
@@ -58,8 +61,7 @@ namespace {
 void print_usage() {
   std::printf(
       "usage: example_acic_serve [training_db.csv] [--listen host:port]\n"
-      "                          [--threads N]\n"
-      "                          [--max-inflight N] [--deadline-us X]\n"
+      "                          [--threads N] [--deadline-us X]\n"
       "                          [--idle-ms N] [--drain-ms N]\n"
       "                          [--max-conns N] [--net-queue N]\n"
       "                          [--learner NAME[,NAME...]]\n"
@@ -68,15 +70,16 @@ void print_usage() {
       "  line at a time; 'help' on the stream lists the protocol verbs.\n"
       "  --listen host:port  concurrent framed-TCP front end instead\n"
       "  --threads N       net workers / --demo threads (0 = hardware)\n"
-      "  --max-inflight N  shed requests beyond N in flight (0 = off)\n"
       "  --deadline-us X   per-request deadline incl. queue wait (0 = off)\n"
       "  --idle-ms N       net: idle/slow-loris/write-stall deadline\n"
       "  --drain-ms N      net: drain budget after SIGTERM/SIGINT\n"
       "  --max-conns N     net: connection cap\n"
-      "  --net-queue N     net: bounded dispatch queue depth\n"
+      "  --net-queue N     net: work queue depth; a request that finds\n"
+      "                    it full is answered with a typed shed\n"
       "  --learner NAMES   learner plugin(s) to train, comma-separated;\n"
       "                    the first is the primary (default: cart)\n"
-      "  --quick           no PB screening / training (fallback mode)\n"
+      "  --quick           no PB screening; without a CSV no training\n"
+      "                    either (fallback mode)\n"
       "  SIGINT/SIGTERM drain gracefully and exit 0 in both modes.\n"
       "\n"
       "registered plugins:\n");
@@ -162,8 +165,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--threads") {
         // Beyond this a worker count is a typo, not a machine.
         threads = static_cast<unsigned>(parse_count(arg, value(), 1024));
-      } else if (arg == "--max-inflight") {
-        service_options.max_in_flight = parse_count(arg, value());
       } else if (arg == "--deadline-us") {
         service_options.deadline_us =
             service::parse_nonneg_double(arg, value());

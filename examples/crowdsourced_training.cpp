@@ -7,6 +7,8 @@
 // through the CSV sharing format after each batch, and tracks how the
 // measured quality of the top recommendation for MADbench2-64 improves,
 // including a final data-aging step after a simulated platform upgrade.
+// The last shared CSV stays in the temp directory as
+// acic_shared_db.csv, ready for `example_acic_serve <that path>`.
 #include <cstdio>
 #include <filesystem>
 
@@ -77,6 +79,5 @@ int main() {
   std::printf("\nCrowdsourced database growth vs recommendation quality\n\n%s",
               table.to_string().c_str());
   std::printf("\nShared database written to %s\n", share_path.c_str());
-  std::filesystem::remove(share_path);
   return 0;
 }

@@ -118,6 +118,12 @@ bool BlockingClient::connect(const std::string& host, std::uint16_t port,
 
 bool BlockingClient::send_raw(std::string_view bytes, std::size_t chunk,
                               long pause_ms) {
+  return send_bytes(bytes, chunk, pause_ms, std::nullopt);
+}
+
+bool BlockingClient::send_bytes(
+    std::string_view bytes, std::size_t chunk, long pause_ms,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   if (fd_ < 0) {
     error_ = "not connected";
     return false;
@@ -131,7 +137,20 @@ bool BlockingClient::send_raw(std::string_view bytes, std::size_t chunk,
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!wait_io(POLLOUT, 5000)) return false;
+        // Without a deadline each stall may last 5 s (the chaos drip's
+        // budget); with one, all stalls together share what is left.
+        long wait_ms = 5000;
+        if (deadline) {
+          wait_ms = static_cast<long>(
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  *deadline - std::chrono::steady_clock::now())
+                  .count());
+          if (wait_ms <= 0) {
+            error_ = "timeout";
+            return false;
+          }
+        }
+        if (!wait_io(POLLOUT, wait_ms)) return false;
         continue;
       }
       error_ = std::string("send: ") + std::strerror(errno);
@@ -146,7 +165,8 @@ bool BlockingClient::send_raw(std::string_view bytes, std::size_t chunk,
 }
 
 bool BlockingClient::send_request(std::string_view line, long timeout_ms) {
-  (void)timeout_ms;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
   std::string frame;
   try {
     frame = encode_frame(line);
@@ -154,7 +174,7 @@ bool BlockingClient::send_request(std::string_view line, long timeout_ms) {
     error_ = e.what();
     return false;
   }
-  return send_raw(frame);
+  return send_bytes(frame, 0, 0, deadline);
 }
 
 std::optional<std::string> BlockingClient::read_response(long timeout_ms) {

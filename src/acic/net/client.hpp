@@ -5,6 +5,7 @@
 // bench/acic_slap.cpp use to misbehave on purpose.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,7 +31,9 @@ class BlockingClient {
 
   bool connected() const { return fd_ >= 0; }
 
-  /// Frame `line` and send it fully.  False on any socket error.
+  /// Frame `line` and send it fully within `timeout_ms`.  False on any
+  /// socket error, or with last_error() "timeout" when the peer does not
+  /// drain the frame in time.
   bool send_request(std::string_view line, long timeout_ms = 5000);
 
   /// Read one response frame.  std::nullopt on timeout, clean EOF, or a
@@ -44,7 +47,8 @@ class BlockingClient {
 
   // --- chaos verbs ----------------------------------------------------
   /// Push raw bytes down the socket, unframed, optionally dripping them
-  /// `chunk` bytes at a time with `pause_ms` between chunks.
+  /// `chunk` bytes at a time with `pause_ms` between chunks.  Each stall
+  /// on a full send buffer may wait up to 5 s.
   bool send_raw(std::string_view bytes, std::size_t chunk = 0,
                 long pause_ms = 0);
   /// shutdown(SHUT_WR): we are done sending; responses still flow back.
@@ -57,6 +61,11 @@ class BlockingClient {
 
  private:
   bool wait_io(short events, long timeout_ms);
+  /// send_raw's loop; with a `deadline`, stalls share it instead of
+  /// waiting up to 5 s each.
+  bool send_bytes(
+      std::string_view bytes, std::size_t chunk, long pause_ms,
+      std::optional<std::chrono::steady_clock::time_point> deadline);
 
   int fd_ = -1;
   FrameDecoder decoder_;

@@ -376,8 +376,8 @@ void Server::dispatch_or_shed(Conn& conn, std::string payload) {
     conn.in_dispatch++;
     work_available_.notify_one();
   } else {
-    // The dispatch queue is the gate in front of the handler's own
-    // admission control; shed here is typed exactly like the service's.
+    // The dispatch queue is the one overload gate: a full queue sheds
+    // with a typed response the client can branch on.
     metrics_.queue_shed->inc();
     queue_response(conn, "shed server work queue full; retry later\n");
   }

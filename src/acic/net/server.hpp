@@ -27,10 +27,10 @@
 //    the loop stops *reading* from it (EPOLLIN off).  Memory per
 //    connection is bounded; a fast requester is throttled to its own
 //    drain rate instead of growing the heap.
-//  * Bounded dispatch — when the work queue is full the request is
-//    answered immediately with a typed `shed` frame; the handler's own
-//    admission control (ServiceOptions::max_in_flight) remains the
-//    second gate behind it.
+//  * Bounded dispatch — the worker pool caps concurrent handler calls,
+//    and when the work queue in front of it is full the request is
+//    answered immediately with a typed `shed` frame.  This is the one
+//    overload gate: the handler itself admits everything it is given.
 //  * Connection cap — accepts beyond `max_connections` get a typed
 //    `error` frame (best-effort) and an immediate close.
 //

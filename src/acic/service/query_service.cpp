@@ -193,7 +193,19 @@ QueryService::Engine::Engine(core::TrainingDatabase db,
     : database(std::move(db)),
       ranking(std::move(rank)),
       learners(std::move(learner_names)) {
-  // A snapshot whose models cannot be trained (empty or degenerate
+  ACIC_CHECK_MSG(!learners.empty(),
+                 "ServiceOptions::learners must name at least one learner");
+  // Validate the learner names against the plugin registry up front: a
+  // typo fails startup with a PluginError listing what is registered,
+  // instead of every future request erroring.
+  for (const auto& name : learners) {
+    plugin::learners().lookup(name);
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& build_failures =
+      registry.counter("service.engine_build_failures");
+  obs::Timer train_timer(registry.histogram("service.train_latency_us"));
+  // An engine whose models cannot be trained (empty or degenerate
   // database) still serves: recommend falls back to the PB ranking.
   // Each learner trains independently — one blowing up must not take
   // the others (or the fallback path) down with it.
@@ -209,20 +221,15 @@ QueryService::Engine::Engine(core::TrainingDatabase db,
       // Absent from the map; requests naming it get a typed error.
     }
   }
+  if (degraded()) build_failures.inc();
 }
 
 QueryService::QueryService(core::TrainingDatabase database,
                            core::PbRankingResult ranking,
                            ServiceOptions options)
-    : options_(std::move(options)) {
-  ACIC_CHECK_MSG(!options_.learners.empty(),
-                 "ServiceOptions::learners must name at least one learner");
-  // Validate the learner names against the plugin registry up front: a
-  // typo fails startup with a PluginError listing what is registered,
-  // instead of every future request erroring.
-  for (const auto& name : options_.learners) {
-    plugin::learners().lookup(name);
-  }
+    : engine_(std::move(database), std::move(ranking),
+              std::move(options.learners)),
+      deadline_us_(options.deadline_us) {
   auto& registry = obs::MetricsRegistry::global();
   auto verb_metrics = [&registry](const char* verb) {
     VerbMetrics m;
@@ -239,47 +246,9 @@ QueryService::QueryService(core::TrainingDatabase database,
   plugins_metrics_ = verb_metrics("plugins");
   other_metrics_ = verb_metrics("other");
   errors_ = &registry.counter("service.errors");
-  shed_ = &registry.counter("service.shed");
   deadline_exceeded_ = &registry.counter("service.deadline_exceeded");
   fallback_answers_ = &registry.counter("service.fallback_answers");
-  engine_build_failures_ =
-      &registry.counter("service.engine_build_failures");
-  engine_builds_ = &registry.counter("service.engine_builds");
-  train_latency_us_ = &registry.histogram("service.train_latency_us");
-
-  obs::Timer train_timer(*train_latency_us_);
-  engine_builds_->inc();
-  auto first = std::make_shared<const Engine>(
-      std::move(database), std::move(ranking), options_.learners);
-  if (first->degraded()) engine_build_failures_->inc();
-  publish(std::move(first));
 }
-
-void QueryService::update_database(core::TrainingDatabase database) {
-  obs::Timer train_timer(*train_latency_us_);
-  engine_builds_->inc();
-  // Train the replacement engine *before* publishing it: readers keep
-  // answering from the old snapshot during the (expensive) build, then
-  // pick up the new one on their next request.
-  const EngineRef current = engine();
-  auto next = std::make_shared<const Engine>(
-      std::move(database), current->ranking, current->learners);
-  if (next->degraded()) {
-    engine_build_failures_->inc();
-    // A contribution batch that cannot train must not degrade a healthy
-    // service: keep the current snapshot.  (If the service was already
-    // degraded, take the new database anyway — at least the stats and
-    // fallback answers reflect it.)
-    if (!current->degraded()) return;
-  }
-  publish(std::move(next));
-}
-
-std::size_t QueryService::database_size() const {
-  return engine()->database.size();
-}
-
-bool QueryService::degraded() const { return engine()->degraded(); }
 
 const QueryService::VerbMetrics& QueryService::metrics_for(
     const std::string& verb) const {
@@ -299,23 +268,6 @@ std::string QueryService::handle(
   const VerbMetrics& vm = metrics_for(verb);
   vm.requests->inc();
 
-  // Bounded admission: shed instead of queuing up behind slow requests.
-  // The shed path is counted but not timed — the latency histograms
-  // describe admitted work only.
-  const std::size_t running =
-      in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  struct InFlightGuard {
-    std::atomic<std::size_t>& gauge;
-    ~InFlightGuard() { gauge.fetch_sub(1, std::memory_order_acq_rel); }
-  } guard{in_flight_};
-  if (options_.max_in_flight > 0 && running > options_.max_in_flight) {
-    shed_->inc();
-    std::ostringstream os;
-    os << "shed at capacity (" << options_.max_in_flight
-       << " requests in flight); retry later\n";
-    return os.str();
-  }
-
   const auto elapsed_us_since = [](std::chrono::steady_clock::time_point t) {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - t)
@@ -326,13 +278,13 @@ std::string QueryService::handle(
   // batch neighbour) is answered without doing the work — under
   // overload, computing an answer nobody is waiting for anymore only
   // deepens the overload.
-  if (options_.deadline_us > 0.0) {
+  if (deadline_us_ > 0.0) {
     const double waited_us = elapsed_us_since(admitted_at);
-    if (waited_us > options_.deadline_us) {
+    if (waited_us > deadline_us_) {
       deadline_exceeded_->inc();
       std::ostringstream os;
       os << "timeout request exceeded deadline (" << waited_us << "us > "
-         << options_.deadline_us << "us) phase=queue\n";
+         << deadline_us_ << "us) phase=queue\n";
       return os.str();
     }
   }
@@ -342,13 +294,13 @@ std::string QueryService::handle(
   // Deadline gate #2, re-checked after the verb dispatch: a request
   // that blows `deadline_us` *during* compute is counted too, and the
   // late answer is replaced by a typed, explicitly degraded response.
-  if (options_.deadline_us > 0.0) {
+  if (deadline_us_ > 0.0) {
     const double elapsed_us = elapsed_us_since(admitted_at);
-    if (elapsed_us > options_.deadline_us) {
+    if (elapsed_us > deadline_us_) {
       deadline_exceeded_->inc();
       std::ostringstream os;
       os << "timeout request exceeded deadline (" << elapsed_us << "us > "
-         << options_.deadline_us << "us) phase=compute degraded=yes\n";
+         << deadline_us_ << "us) phase=compute degraded=yes\n";
       return os.str();
     }
   }
@@ -358,14 +310,11 @@ std::string QueryService::handle(
 std::string QueryService::dispatch(const std::string& verb,
                                    const std::string& request_line) {
   try {
-    // Pin one immutable snapshot for the whole request; a concurrent
-    // update_database() cannot pull the models out from under us.
-    const EngineRef e = engine();
-    if (verb == "recommend") return handle_recommend(*e, request_line);
-    if (verb == "predict") return handle_predict(*e, request_line);
-    if (verb == "rank") return handle_rank(*e, request_line);
+    if (verb == "recommend") return handle_recommend(engine_, request_line);
+    if (verb == "predict") return handle_predict(engine_, request_line);
+    if (verb == "rank") return handle_rank(engine_, request_line);
     if (verb == "simulate") return handle_simulate(request_line);
-    if (verb == "stats") return handle_stats(*e);
+    if (verb == "stats") return handle_stats(engine_);
     if (verb == "plugins") return handle_plugins();
     if (verb == "help" || verb.empty()) return help_text();
     errors_->inc();
@@ -406,9 +355,9 @@ std::string QueryService::handle_recommend(const Engine& engine,
     candidates = cloud::IoConfig::enumerate_candidates();
   }
 
-  // Optional learner= selection; defaults to the snapshot's primary.
+  // Optional learner= selection; defaults to the engine's primary.
   // An unregistered name throws the registry's PluginError; a
-  // registered name this snapshot did not train is a typed error
+  // registered name the engine did not train is a typed error
   // listing what *is* trained.
   const auto learner_it = kv.find("learner");
   const std::string learner = learner_it != kv.end()
@@ -418,7 +367,7 @@ std::string QueryService::handle_recommend(const Engine& engine,
   const core::Acic* model = engine.model_for(objective, learner);
   if (model == nullptr) {
     if (learner_it != kv.end()) throw untrained_learner_error(engine, learner);
-    // No trained snapshot: degrade gracefully to the PB screening
+    // No trained model: degrade gracefully to the PB screening
     // ranking instead of erroring out.
     fallback_answers_->inc();
     return fallback_recommend(engine, objective, top_k);

@@ -24,44 +24,35 @@
 //   help
 //
 // recommend/predict additionally accept learner=<name> (any registered
-// learner plugin trained in the snapshot) and recommend accepts
+// learner plugin the service trained) and recommend accepts
 // fs=<name> to restrict candidates to one registered filesystem;
 // simulate accepts chaos=<preset> (a registered fault-model plugin,
 // overridable field by field).  Unknown names answer with a typed
 // error listing what is registered.
 //
 // Responses are "ok ..." / "error ..." lines followed by indented detail
-// rows, so they stay greppable and machine-parseable.  Under graceful
-// degradation two more typed first words appear: "shed ..." (bounded
-// admission rejected the request) and "timeout ..." (the per-request
-// deadline expired) — clients can branch on the first token alone.
+// rows, so they stay greppable and machine-parseable.  A request that
+// misses its deadline is answered "timeout ..." instead — clients can
+// branch on the first token alone.  (Overload shedding is the front
+// end's job: acic::net answers "shed ..." when its work queue is full.)
 //
-// Concurrency model: the service state is an immutable `Engine` snapshot
-// (training database + ranking + both trained models) behind an
-// atomically swapped shared_ptr.  `handle()` pins the current snapshot
-// for the duration of one request; `update_database()` trains a *new*
-// engine off to the side and swaps the pointer (copy-on-write) — the
-// micro-mutex guards only the shared_ptr copy (a refcount bump, never
-// training or prediction), so readers never wait on a writer's work and
-// in-flight requests keep answering from the snapshot they started with.
-// Both models are trained eagerly when an engine is built, so the hot
-// path never trains.  Every request is counted and timed into the
-// process-wide `acic::obs` registry under `service.requests.<verb>` /
-// `service.latency_us.<verb>`.
+// Concurrency model: the service is immutable after construction.  The
+// constructor builds the one `Engine` (training database + ranking + a
+// trained model pair per learner) before any request can arrive, so
+// `handle()` reads it from any number of threads without a lock and the
+// hot path never trains.  A new training database means a new service.
+// Every request is counted and timed into the process-wide `acic::obs`
+// registry under `service.requests.<verb>` / `service.latency_us.<verb>`.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "acic/common/mutex.hpp"
-#include "acic/common/thread_annotations.hpp"
 #include "acic/core/predictor.hpp"
 #include "acic/core/ranking.hpp"
 #include "acic/core/training.hpp"
@@ -90,18 +81,13 @@ std::size_t parse_count(
 /// throw; missing keys keep the defaults below.
 io::Workload parse_workload_query(const std::string& line);
 
-/// Graceful-degradation knobs.  Both default off, which preserves the
-/// legacy unbounded/undeadlined behaviour.
+/// Service settings, fixed for the service's lifetime.
 struct ServiceOptions {
-  /// Bounded admission: requests beyond this many concurrently running
-  /// ones are answered with a typed "shed ..." line instead of queuing
-  /// (0 = unbounded).
-  std::size_t max_in_flight = 0;
   /// Per-request compute deadline in microseconds; a request that blows
   /// it gets a typed "timeout ..." response (0 = none).
   double deadline_us = 0.0;
-  /// Registered learner plugins to train per engine snapshot; the first
-  /// entry is the primary (answers requests without a learner= key).
+  /// Registered learner plugins to train; the first entry is the
+  /// primary (answers requests without a learner= key).
   /// Every name is validated against the plugin registry at
   /// construction, so a typo fails service startup with a typed error
   /// instead of surfacing per-request.
@@ -110,18 +96,20 @@ struct ServiceOptions {
 
 class QueryService {
  public:
-  /// Builds the first engine snapshot: trains one model per objective
-  /// eagerly so concurrent `handle()` calls never observe a half-trained
+  /// Builds the engine: trains one model per objective and learner
+  /// before returning, so `handle()` never observes a half-trained
   /// model.  If training is impossible (e.g. an empty database), the
   /// service still comes up in fallback mode: recommend answers from the
   /// PB ranking, predict reports the model as unavailable.
   QueryService(core::TrainingDatabase database, core::PbRankingResult ranking,
                ServiceOptions options = {});
+  QueryService(const QueryService&) = delete;
+  QueryService& operator=(const QueryService&) = delete;
 
   /// Handle one protocol line; never throws — malformed input yields an
   /// "error ..." response.  Safe to call from any number of threads
-  /// concurrently, including while `update_database()` swaps snapshots;
-  /// concurrent serving is acic::net's job (or `parallel_for` over this).
+  /// concurrently; concurrent serving is acic::net's job (or
+  /// `parallel_for` over this).
   ///
   /// The deadline clock starts at `admitted_at` — a network front end
   /// passes the frame-arrival time so queue wait counts against
@@ -135,38 +123,23 @@ class QueryService {
                      std::chrono::steady_clock::time_point admitted_at =
                          std::chrono::steady_clock::now());
 
-  /// Refresh the database snapshot (a crowdsourced contribution batch):
-  /// trains a replacement engine and atomically publishes it.  In-flight
-  /// requests finish on the old snapshot; it is freed when the last one
-  /// drops its reference.  If the replacement cannot be trained while
-  /// the current engine has working models, the current one is kept (a
-  /// bad contribution batch must not degrade a healthy service).
-  void update_database(core::TrainingDatabase database);
-
-  std::size_t database_size() const;
-
-  /// Requests currently inside handle() (admission gauge; exposed so
-  /// overload tests can synchronise deterministically).
-  std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
-
-  /// True while the current snapshot answers from the PB-ranking
-  /// fallback instead of trained models.
-  bool degraded() const;
+  /// True when the service answers from the PB-ranking fallback instead
+  /// of trained models.
+  bool degraded() const { return engine_.degraded(); }
 
  private:
   /// Both objectives' models for one learner plugin.  Only complete
-  /// pairs are published into an engine's model map.
+  /// pairs enter the engine's model map.
   struct ModelSet {
     std::optional<core::Acic> perf;
     std::optional<core::Acic> cost;
   };
 
   /// Immutable service state; shared read-only by concurrent requests.
-  /// Models are optional: a snapshot whose training failed (empty or
+  /// Models are optional: an engine whose training failed (empty or
   /// corrupt database) still serves rank/stats and fallback recommends.
   struct Engine {
+    /// Validates the learner names, then trains each learner's pair.
     Engine(core::TrainingDatabase db, core::PbRankingResult rank,
            std::vector<std::string> learner_names);
 
@@ -196,20 +169,6 @@ class QueryService {
       return m ? &*m : nullptr;
     }
   };
-  using EngineRef = std::shared_ptr<const Engine>;
-
-  // A plain mutex around the shared_ptr copy instead of
-  // std::atomic<shared_ptr>: the critical sections are two instructions
-  // wide, and libstdc++'s lock-bit _Sp_atomic confuses TSan (the tsan CI
-  // preset is how this file's guarantees are enforced).
-  EngineRef engine() const ACIC_EXCLUDES(engine_mutex_) {
-    MutexLock lock(&engine_mutex_);
-    return engine_;
-  }
-  void publish(EngineRef next) ACIC_EXCLUDES(engine_mutex_) {
-    MutexLock lock(&engine_mutex_);
-    engine_ = std::move(next);
-  }
 
   std::string handle_recommend(const Engine& engine,
                                const std::string& line);
@@ -223,12 +182,12 @@ class QueryService {
   static std::string help_text();
   /// The registered-but-untrained learner error (distinct from the
   /// unknown-name PluginError the registry itself throws): lists the
-  /// learners this snapshot actually trained.
+  /// learners the engine actually trained.
   static Error untrained_learner_error(const Engine& engine,
                                        const std::string& learner);
   /// PB-effects fallback: score every candidate config against the
-  /// screening effects and return the top_k (used when no model
-  /// snapshot exists).
+  /// screening effects and return the top_k (used when no trained model
+  /// exists).
   static std::string fallback_recommend(const Engine& engine,
                                         core::Objective objective,
                                         std::size_t top_k);
@@ -242,10 +201,8 @@ class QueryService {
   };
   const VerbMetrics& metrics_for(const std::string& verb) const;
 
-  mutable Mutex engine_mutex_;
-  EngineRef engine_ ACIC_GUARDED_BY(engine_mutex_);
-  ServiceOptions options_;
-  std::atomic<std::size_t> in_flight_{0};
+  const Engine engine_;
+  const double deadline_us_;
   VerbMetrics recommend_metrics_;
   VerbMetrics predict_metrics_;
   VerbMetrics rank_metrics_;
@@ -254,16 +211,8 @@ class QueryService {
   VerbMetrics plugins_metrics_;
   VerbMetrics other_metrics_;
   obs::Counter* errors_ = nullptr;
-  obs::Counter* shed_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;
   obs::Counter* fallback_answers_ = nullptr;
-  obs::Counter* engine_build_failures_ = nullptr;
-  // Resolved once in the constructor: the engine-rebuild instruments
-  // used by both the constructor and update_database().  (They used to
-  // be re-registered inline at each call site — two registration sites
-  // for one name, which the acic-lint metrics rule now rejects.)
-  obs::Counter* engine_builds_ = nullptr;
-  obs::Histogram* train_latency_us_ = nullptr;
 };
 
 }  // namespace acic::service

@@ -1,11 +1,15 @@
 // Loopback tests for the epoll front end (src/acic/net/server.*): echo
 // round-trips, pipelining, shed-under-load, idle and slow-loris
 // disconnects, strict-framing rejections, half-close semantics, the
-// connection cap, backpressure, and graceful drain.  Every server binds
-// port 0 (ephemeral) so tests never collide; handlers are lambdas, so
-// no training or simulation runs here.  The concurrency-heavy cases are
-// in the tsan preset's filter (tests/CMakeLists.txt).
+// connection cap, backpressure, and graceful drain; plus the blocking
+// client's send deadline against a peer that never reads.  Every server
+// binds port 0 (ephemeral) so tests never collide; handlers are lambdas,
+// so no training or simulation runs here.  The concurrency-heavy cases
+// are in the tsan preset's filter (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -335,6 +339,55 @@ TEST(NetServer, DrainDeadlineForceClosesStragglers) {
 TEST(NetServer, EphemeralPortIsResolved) {
   TestServer ts({}, echo_handler());
   EXPECT_NE(ts.port(), 0);
+}
+
+// A loopback peer that accepts and never reads: once the socket buffers
+// fill, send_request must give up within its own timeout, not after a
+// fixed 5 s per stall.
+TEST(NetClient, SendRequestHonoursItsTimeoutAgainstANonReadingPeer) {
+  struct Fd {
+    int fd;
+    ~Fd() {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+  const int small = 4096;
+  Fd listener{::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)};
+  ASSERT_GE(listener.fd, 0);
+  ::setsockopt(listener.fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener.fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener.fd, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listener.fd, reinterpret_cast<sockaddr*>(&addr), &len),
+      0);
+
+  BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", ntohs(addr.sin_port), 2000))
+      << client.last_error();
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  Fd peer{::accept(listener.fd, nullptr, nullptr)};
+  ASSERT_GE(peer.fd, 0);
+
+  const std::string line(60000, 'x');
+  constexpr long kTimeoutMs = 200;
+  for (int i = 0; i < 1000; ++i) {
+    const auto started = std::chrono::steady_clock::now();
+    const bool sent = client.send_request(line, kTimeoutMs);
+    const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+    if (sent) continue;
+    EXPECT_EQ(client.last_error(), "timeout");
+    EXPECT_GE(took, kTimeoutMs - 10);
+    EXPECT_LT(took, 2000) << "send waited past its " << kTimeoutMs
+                          << " ms timeout";
+    return;
+  }
+  FAIL() << "the peer never stopped draining";
 }
 
 }  // namespace
