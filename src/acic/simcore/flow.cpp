@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "acic/common/error.hpp"
 
@@ -16,6 +17,10 @@ constexpr Bytes kEpsilonBytes = 1e-3;
 // where the next completion lies below one ulp of the current (large)
 // timestamp, so the clock cannot actually advance to it.
 constexpr SimTime kTimeQuantum = 1e-9;
+// Shares within this relative slack of the bottleneck freeze in the same
+// filling round.
+constexpr double kBottleneckSlack = 1.0 + 1e-12;
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 bool flow_done(Bytes remaining, double rate) {
   if (remaining <= kEpsilonBytes) return true;
@@ -35,6 +40,9 @@ bool path_is_duplicate_free(const std::vector<ResourceId>& path) {
 ResourceId FlowNetwork::add_resource(std::string name, double capacity) {
   ACIC_EXPECTS(capacity >= 0.0, "negative capacity " << capacity << " for "
                                                      << name);
+  // Flow paths store resource ids as 32-bit indices.
+  ACIC_DCHECK(resources_.size() < std::numeric_limits<std::uint32_t>::max(),
+              "too many flow resources");
   resources_.push_back(Resource{std::move(name), capacity});
   return resources_.size() - 1;
 }
@@ -57,6 +65,9 @@ double FlowNetwork::capacity(ResourceId id) const {
 FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
                                std::function<void()> on_complete) {
   ACIC_EXPECTS(!path.empty(), "flow path must name at least one resource");
+  ACIC_EXPECTS(path.size() <= kMaxPathHops,
+               "flow path of " << path.size() << " hops exceeds the "
+                               << kMaxPathHops << "-hop limit");
   for (ResourceId r : path) {
     ACIC_EXPECTS(r < resources_.size(), "unknown resource " << r
                                                             << " in flow path");
@@ -76,8 +87,25 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
     return id;
   }
   advance();
-  flows_.push_back(
-      Flow{id, std::move(path), bytes, 0.0, std::move(on_complete)});
+  Flow f;
+  f.id = id;
+  f.remaining = bytes;
+  f.hops = static_cast<std::uint32_t>(path.size());
+  for (std::size_t h = 0; h < kMaxPathHops; ++h) {
+    f.path[h] = static_cast<std::uint32_t>(path[std::min(h, path.size() - 1)]);
+  }
+  if (on_complete) {
+    if (free_callbacks_.empty()) {
+      f.callback = static_cast<std::uint32_t>(callbacks_.size());
+      callbacks_.emplace_back();
+    } else {
+      f.callback = free_callbacks_.back();
+      free_callbacks_.pop_back();
+    }
+    callbacks_[f.callback] = std::move(on_complete);
+  }
+  admit(f);
+  flows_.push_back(f);
   recompute_rates();
   schedule_next_completion();
   return id;
@@ -152,23 +180,55 @@ Task FlowNetwork::transfer_within(std::vector<ResourceId> path, Bytes bytes,
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
-  for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-    if (it->id != id) continue;
-    advance();
-    bytes_cancelled_ += it->remaining;
-    flows_.erase(it);
-    recompute_rates();
-    schedule_next_completion();
-    return;
-  }
+  const std::size_t i = find_flow(id);
   // Already completed (or never admitted, e.g. a zero-byte flow): no-op.
+  if (i == flows_.size()) return;
+  advance();
+  const Flow f = flows_[i];
+  bytes_cancelled_ += f.remaining;
+  retire(f);
+  if (f.callback != kNoCallback) {
+    callbacks_[f.callback] = nullptr;
+    free_callbacks_.push_back(f.callback);
+  }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(i));
+  recompute_rates();
+  schedule_next_completion();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
-  for (const auto& f : flows_) {
-    if (f.id == id) return f.rate;
+  const std::size_t i = find_flow(id);
+  return i < flows_.size() ? flows_[i].rate : 0.0;
+}
+
+std::size_t FlowNetwork::find_flow(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& f, FlowId key) { return f.id < key; });
+  if (it == flows_.end() || it->id != id) return flows_.size();
+  return static_cast<std::size_t>(it - flows_.begin());
+}
+
+void FlowNetwork::admit(const Flow& f) {
+  for (std::uint32_t h = 0; h < f.hops; ++h) {
+    Resource& res = resources_[f.path[h]];
+    if (res.crossing++ == 0) {
+      res.in_use_pos = static_cast<std::uint32_t>(in_use_.size());
+      in_use_.push_back(f.path[h]);
+    }
   }
-  return 0.0;
+}
+
+void FlowNetwork::retire(const Flow& f) {
+  for (std::uint32_t h = 0; h < f.hops; ++h) {
+    Resource& res = resources_[f.path[h]];
+    if (--res.crossing == 0) {
+      const std::uint32_t last = in_use_.back();
+      in_use_[res.in_use_pos] = last;
+      resources_[last].in_use_pos = res.in_use_pos;
+      in_use_.pop_back();
+    }
+  }
 }
 
 void FlowNetwork::advance() {
@@ -185,85 +245,95 @@ void FlowNetwork::advance() {
 }
 
 void FlowNetwork::recompute_rates() {
+  next_eta_ = std::numeric_limits<SimTime>::infinity();
   const std::size_t nf = flows_.size();
   if (nf == 0) return;
 
   // Progressive filling: repeatedly find the bottleneck resource (the one
   // offering the smallest per-flow fair share among its unfixed flows),
-  // freeze the rates of every unfixed flow crossing it, and deduct that
-  // bandwidth from every resource those flows traverse.  Only resources
-  // actually crossed by an active flow participate — the solver is
-  // O(rounds x (used resources + total path length)), not O(|resources|).
-  std::vector<double> residual(resources_.size());
-  std::vector<std::size_t> unfixed_count(resources_.size(), 0);
-  std::vector<ResourceId> used;
-  used.reserve(4 * nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    flows_[i].rate = -1.0;  // marks "not yet fixed by this solve"
-    for (ResourceId r : flows_[i].path) {
-      if (unfixed_count[r] == 0) {
-        residual[r] = resources_[r].capacity;
-        used.push_back(r);
-      }
-      ++unfixed_count[r];
-    }
+  // then visit the unfixed flows in admission order, freezing every one
+  // that crosses a resource whose share is within kBottleneckSlack of the
+  // bottleneck and deducting its rate from every resource it traverses.
+  // A flow visited later in a round sees the deductions of the flows
+  // frozen before it, so the visiting order is part of the result.
+  //
+  // Only resources crossed by an active flow take part: seeding walks
+  // in_use_, whose crossing counts admit()/retire() keep current, and a
+  // share is recomputed (by the same division) only when a freeze changes
+  // its residual or unfixed count.  A round costs O(resources in use +
+  // kMaxPathHops x unfixed flows), nothing is O(|resources|), and a solve
+  // allocates nothing.
+  for (std::uint32_t r : in_use_) {
+    Resource& res = resources_[r];
+    res.residual = res.capacity;
+    res.unfixed = res.crossing;
+    res.share = res.residual / static_cast<double>(res.unfixed);
   }
+  if (unfixed_.size() < nf) unfixed_.resize(nf);
 
-  std::size_t fixed_total = 0;
-  while (fixed_total < nf) {
-    // Find bottleneck share among used resources.
+  // Round one visits every flow; later rounds visit only the flows the
+  // previous round left unfixed (unfixed_[0, left), in admission order).
+  std::size_t left = nf;
+  bool first_round = true;
+  while (left > 0) {
     double best_share = std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (ResourceId r : used) {
-      if (unfixed_count[r] == 0) continue;
-      const double share = residual[r] / static_cast<double>(unfixed_count[r]);
-      if (share < best_share) {
-        best_share = share;
-        found = true;
-      }
+    for (std::uint32_t r : in_use_) {
+      // NaN shares (no unfixed flow left) never compare less.
+      if (resources_[r].share < best_share) best_share = resources_[r].share;
     }
-    if (!found) break;  // defensive: every flow crosses no counted resource
+    // Defensive: no resource offers a finite share.
+    if (!(best_share < std::numeric_limits<double>::infinity())) break;
     best_share = std::max(best_share, 0.0);
+    const double limit = best_share * kBottleneckSlack;
 
-    // Freeze every unfixed flow that crosses a bottleneck resource.
-    bool froze_any = false;
-    for (std::size_t i = 0; i < nf; ++i) {
-      if (flows_[i].rate >= 0.0) continue;  // already fixed this solve
-      bool at_bottleneck = false;
-      for (ResourceId r : flows_[i].path) {
-        if (unfixed_count[r] == 0) continue;
-        const double share =
-            residual[r] / static_cast<double>(unfixed_count[r]);
-        if (share <= best_share * (1.0 + 1e-12)) {
-          at_bottleneck = true;
-          break;
-        }
+    // Every flow frozen this round gets rate best_share, and division by a
+    // positive rate is monotone, so the round's earliest completion is
+    // (its smallest remaining) / best_share — the same double as the
+    // smallest per-flow remaining / rate.
+    Bytes min_remaining = std::numeric_limits<Bytes>::infinity();
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < left; ++k) {
+      const std::uint32_t i =
+          first_round ? static_cast<std::uint32_t>(k) : unfixed_[k];
+      Flow& f = flows_[i];
+      const auto at_bottleneck = [&](std::uint32_t r) {
+        return resources_[r].share <= limit;
+      };
+      if (!(at_bottleneck(f.path[0]) | at_bottleneck(f.path[1]) |
+            at_bottleneck(f.path[2]) | at_bottleneck(f.path[3]))) {
+        unfixed_[kept++] = i;
+        continue;
       }
-      if (!at_bottleneck) continue;
-      froze_any = true;
-      ++fixed_total;
-      flows_[i].rate = best_share;
-      for (ResourceId r : flows_[i].path) {
-        residual[r] = std::max(0.0, residual[r] - best_share);
-        --unfixed_count[r];
+      f.rate = best_share;
+      min_remaining = std::min(min_remaining, f.remaining);
+      for (std::uint32_t h = 0; h < f.hops; ++h) {
+        Resource& res = resources_[f.path[h]];
+        res.residual = std::max(0.0, res.residual - best_share);
+        --res.unfixed;
+        res.share = res.unfixed > 0
+                        ? res.residual / static_cast<double>(res.unfixed)
+                        : kNaN;
       }
     }
-    if (!froze_any) break;  // defensive against FP pathologies
+    if (kept == left) break;  // defensive against FP pathologies
+    if (best_share > 0.0) {
+      next_eta_ = std::min(next_eta_, min_remaining / best_share);
+    }
+    left = kept;
+    first_round = false;
   }
-  for (auto& f : flows_) {
-    if (f.rate < 0.0) f.rate = 0.0;  // flows the solver could not place
+  // Flows the solver could not place.
+  if (first_round) {
+    for (auto& f : flows_) f.rate = 0.0;
+  } else {
+    for (std::size_t k = 0; k < left; ++k) flows_[unfixed_[k]].rate = 0.0;
   }
 }
 
 void FlowNetwork::schedule_next_completion() {
   ++generation_;
   if (flows_.empty()) return;
-  SimTime min_eta = std::numeric_limits<SimTime>::infinity();
-  for (const auto& f : flows_) {
-    if (f.rate > 0.0) {
-      min_eta = std::min(min_eta, f.remaining / f.rate);
-    }
-  }
+  const SimTime min_eta = next_eta_;
   if (!std::isfinite(min_eta)) return;  // everything stalled (failure)
   // Always land on a representable instant strictly after `now` so the
   // clock provably advances (see kTimeQuantum).
@@ -278,19 +348,33 @@ void FlowNetwork::schedule_next_completion() {
 
 void FlowNetwork::handle_completion_event(std::uint64_t generation) {
   if (generation != generation_) return;  // superseded by a newer solve
-  advance();
-
-  std::vector<std::function<void()>> callbacks;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (flow_done(it->remaining, it->rate)) {
-      // Credit the sub-epsilon residue so bytes_delivered() sums to
-      // exactly what was injected (byte conservation).
-      bytes_delivered_ += it->remaining;
-      if (it->on_complete) callbacks.push_back(std::move(it->on_complete));
-      it = flows_.erase(it);
-    } else {
-      ++it;
+  // One pass integrates every flow up to now (exactly as advance() does),
+  // picks out the finished ones and compacts the rest in admission order.
+  const SimTime now = sim_.now();
+  const SimTime dt = now - last_update_;
+  last_update_ = now;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
+    if (dt > 0.0) {
+      const Bytes moved = std::min(f.rate * dt, f.remaining);
+      f.remaining -= moved;
+      bytes_delivered_ += moved;
     }
+    if (flow_done(f.remaining, f.rate)) {
+      done_.push_back(f);
+    } else {
+      flows_[kept++] = f;
+    }
+  }
+  flows_.resize(kept);
+  // Credit each finished flow's sub-epsilon residue so bytes_delivered()
+  // sums to exactly what was injected (byte conservation) — after every
+  // flow's progress, in admission order, as the sum has always been
+  // formed.
+  for (const Flow& f : done_) {
+    bytes_delivered_ += f.remaining;
+    retire(f);
   }
   ACIC_DCHECK(bytes_conserved(),
               "flow byte conservation violated: injected="
@@ -299,7 +383,15 @@ void FlowNetwork::handle_completion_event(std::uint64_t generation) {
   recompute_rates();
   ACIC_DCHECK(rates_feasible(), "max-min solve oversubscribed a resource");
   schedule_next_completion();
-  for (auto& cb : callbacks) sim_.at(sim_.now(), std::move(cb));
+  // Callbacks are queued after the new completion event, in admission
+  // order.
+  for (const Flow& f : done_) {
+    if (f.callback == kNoCallback) continue;
+    sim_.at(now, std::move(callbacks_[f.callback]));
+    callbacks_[f.callback] = nullptr;
+    free_callbacks_.push_back(f.callback);
+  }
+  done_.clear();
 }
 
 bool FlowNetwork::bytes_conserved() const {
@@ -317,7 +409,7 @@ bool FlowNetwork::rates_feasible() const {
   std::vector<double> load(resources_.size(), 0.0);
   for (const auto& f : flows_) {
     if (f.rate <= 0.0) continue;
-    for (ResourceId r : f.path) load[r] += f.rate;
+    for (std::uint32_t h = 0; h < f.hops; ++h) load[f.path[h]] += f.rate;
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     if (load[r] > resources_[r].capacity * (1.0 + 1e-9) + 1e-9) return false;

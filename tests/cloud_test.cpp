@@ -136,6 +136,38 @@ TEST(ClusterModelTest, EbsPathsTransitServerNic) {
   EXPECT_EQ(r.size(), 4u);
 }
 
+// The flow solver stores paths inline and rejects any longer than
+// FlowNetwork::kMaxPathHops.  Only a cross-instance EBS write or read
+// reaches the limit; every other chain the cluster builds is shorter, so
+// a topology change that lengthens a path fails here, not in a run.
+TEST(ClusterModelTest, OnlyCrossInstanceEbsPathsReachTheHopLimit) {
+  constexpr std::size_t kLimit = sim::FlowNetwork::kMaxPathHops;
+  for (const IoConfig& cfg : IoConfig::enumerate_candidates_with_ssd()) {
+    SCOPED_TRACE(cfg.label());
+    sim::Simulator s;
+    ClusterModel cluster(s, opts(64, cfg));
+    const bool ebs = cfg.device == storage::DeviceType::kEbs;
+    for (int rank = 0; rank < cluster.ranks(); ++rank) {
+      for (int server = 0; server < cluster.num_io_servers(); ++server) {
+        const bool remote = !cluster.rank_colocated_with_server(rank, server);
+        const std::size_t want_max = ebs && remote ? kLimit : kLimit - 1;
+        const auto w = cluster.write_path(rank, server);
+        const auto r = cluster.read_path(rank, server);
+        EXPECT_LE(w.size(), want_max);
+        EXPECT_LE(r.size(), want_max);
+        if (ebs && remote) {
+          EXPECT_EQ(w.size(), kLimit);
+          EXPECT_EQ(r.size(), kLimit);
+        }
+        EXPECT_LT(cluster.cached_write_path(rank, server).size(), kLimit);
+      }
+      for (int peer = 0; peer < cluster.ranks(); ++peer) {
+        EXPECT_LT(cluster.comm_path(rank, peer).size(), kLimit);
+      }
+    }
+  }
+}
+
 TEST(ClusterModelTest, CommPathEmptyWithinInstance) {
   sim::Simulator s;
   ClusterModel cluster(s, opts(32, IoConfig::baseline()));

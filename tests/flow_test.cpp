@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -61,6 +62,26 @@ TEST(FlowNetwork, RejectsDegenerateFlows) {
   EXPECT_THROW(net.start_flow({link + 7}, 10.0, nullptr), Error);
   EXPECT_THROW(net.start_flow({link}, -1.0, nullptr), Error);
   EXPECT_THROW(net.set_capacity(link, -5.0), Error);
+}
+
+TEST(FlowNetwork, RejectsPathsLongerThanFourHops) {
+  Simulator s;
+  FlowNetwork net(s);
+  std::vector<ResourceId> path;
+  for (int i = 0; i < 5; ++i) {
+    path.push_back(net.add_resource("hop" + std::to_string(i), 100.0));
+  }
+  EXPECT_EQ(FlowNetwork::kMaxPathHops, 4u);
+  EXPECT_THROW(net.start_flow(path, 10.0, nullptr), Error);
+  EXPECT_THROW(net.start_flow(path, 0.0, nullptr), Error);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_EQ(net.bytes_injected(), 0.0);  // rejected before anything counted
+  // Four hops is the limit, not past it.
+  path.pop_back();
+  SimTime done_at = -1.0;
+  net.start_flow(path, 1000.0, [&] { done_at = s.now(); });
+  s.run();
+  EXPECT_DOUBLE_EQ(done_at, 10.0);
 }
 
 TEST(FlowNetwork, TwoFlowsShareEqually) {

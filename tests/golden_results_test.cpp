@@ -73,7 +73,8 @@ cloud::IoConfig striped(cloud::FileSystemType fs, int servers, Bytes stripe,
 /// file systems (plus a two-server 64 KiB part-time EBS layout for the
 /// striped ones), then faulted mpiBLAST-64 under every non-trivial fault
 /// preset with retry armed and checkpointing on, plus spot reclaims
-/// restarting from scratch.  Fault seed 3 makes every preset strike the
+/// restarting from scratch, then a 256-rank shared-file read with up to
+/// 1,024 concurrent flows, clean and under brownouts.  Fault seed 3 makes every preset strike the
 /// NFS run, outages, brownouts and spot reclaims strike all three file
 /// systems, and each reclaim end in a restart.
 std::vector<GoldenCase> golden_cases() {
@@ -137,6 +138,39 @@ std::vector<GoldenCase> golden_cases() {
     o.tuning.retry.enabled = true;
     cases.push_back({"mpiBLAST/64 spot-preempt scratch " + c.label(), blast,
                      c, o});
+  }
+
+  // The many-flow regime, where the flow solver does almost all of its
+  // work: the shape of the training sweep's heaviest PB row, 256 ranks
+  // reading one shared file in 128 MiB POSIX requests over four 64 KiB
+  // stripes, up to 1,024 flows in flight.  Clean, then under brownouts
+  // with retry (thousands of cancels and a few capacity changes).
+  const Workload wide_read = ior::IorBench()
+                                 .api("POSIX")
+                                 .tasks(256)
+                                 .io_tasks(256)
+                                 .block_size(128.0 * MiB)
+                                 .transfer_size(128.0 * MiB)
+                                 .segments(1)
+                                 .file_per_process(false)
+                                 .read_only()
+                                 .build();
+  const cloud::IoConfig wide_layouts[] = {
+      striped(FileSystemType::kPvfs2, 4, 64.0 * KiB, DeviceType::kEphemeral,
+              Placement::kDedicated),
+      striped(FileSystemType::kLustre, 4, 64.0 * KiB, DeviceType::kEphemeral,
+              Placement::kDedicated)};
+  for (const auto& c : wide_layouts) {
+    cases.push_back(
+        {"IOR/np256-shared-read " + c.label(), wide_read, c, RunOptions{}});
+  }
+  for (const auto& c : wide_layouts) {
+    RunOptions o;
+    o.seed = 3;
+    o.fault_model = plugin::fault_models().lookup("brownouts").model;
+    o.tuning.retry.enabled = true;
+    cases.push_back({"IOR/np256-shared-read brownouts " + c.label(),
+                     wide_read, c, o});
   }
   return cases;
 }
