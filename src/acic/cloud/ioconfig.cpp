@@ -1,6 +1,6 @@
 #include "acic/cloud/ioconfig.hpp"
 
-#include <sstream>
+#include <string>
 
 #include "acic/common/error.hpp"
 #include "acic/plugin/substrates.hpp"
@@ -30,28 +30,29 @@ int IoConfig::effective_raid_members() const {
 }
 
 std::string IoConfig::label() const {
-  std::ostringstream os;
   const auto& substrate = plugin::filesystem_for(fs);
-  os << substrate.label_stem;
-  if (!substrate.single_server) os << "." << io_servers;
-  os << "." << (placement == Placement::kDedicated ? "D" : "P");
-  os << ".";
+  std::string out = substrate.label_stem;
+  if (!substrate.single_server) {
+    out += '.';
+    out += std::to_string(io_servers);
+  }
+  out += placement == Placement::kDedicated ? ".D" : ".P";
   switch (device) {
     case storage::DeviceType::kEphemeral:
-      os << "eph";
+      out += ".eph";
       break;
     case storage::DeviceType::kEbs:
-      os << "ebs";
+      out += ".ebs";
       break;
     case storage::DeviceType::kSsd:
-      os << "ssd";
+      out += ".ssd";
       break;
   }
   if (!substrate.single_server) {
-    os << (stripe_size >= MiB ? ".4M" : ".64K");
+    out += stripe_size >= MiB ? ".4M" : ".64K";
   }
-  if (instance == InstanceType::kCc1_4xlarge) os << ".cc1";
-  return os.str();
+  if (instance == InstanceType::kCc1_4xlarge) out += ".cc1";
+  return out;
 }
 
 IoConfig IoConfig::baseline() {
@@ -73,9 +74,10 @@ std::vector<IoConfig> enumerate_over(
 
 }  // namespace
 
-std::vector<IoConfig> IoConfig::enumerate_candidates() {
-  return enumerate_over(
+const std::vector<IoConfig>& IoConfig::enumerate_candidates() {
+  static const std::vector<IoConfig> grid = enumerate_over(
       {storage::DeviceType::kEbs, storage::DeviceType::kEphemeral});
+  return grid;
 }
 
 std::vector<IoConfig> IoConfig::enumerate_candidates_with_ssd() {

@@ -52,9 +52,10 @@ struct IoConfig {
   /// two-volume EBS RAID-0 on a cc2.8xlarge.
   static IoConfig baseline();
 
-  /// Enumerate every *valid* configuration over the Table 1 system-side
-  /// value ranges (56 candidates).
-  static std::vector<IoConfig> enumerate_candidates();
+  /// Every *valid* configuration over the Table 1 system-side value
+  /// ranges (56 candidates): the default candidate grid, built once on
+  /// first use from the immutable filesystem table and never changed.
+  static const std::vector<IoConfig>& enumerate_candidates();
 
   /// Extended enumeration including the SSD device class (84 candidates)
   /// — the "platform upgrade" scenario for ACIC's expandability story.

@@ -182,6 +182,12 @@ io::Workload ParamSpace::workload_of(const Point& p) {
 Point ParamSpace::encode(const cloud::IoConfig& config,
                          const io::Workload& workload) {
   Point p{};
+  encode_system(config, p.data());
+  encode_workload(workload, p.data());
+  return p;
+}
+
+void ParamSpace::encode_system(const cloud::IoConfig& config, double* p) {
   switch (config.device) {
     case storage::DeviceType::kEbs:
       p[kDevice] = 0;
@@ -200,6 +206,9 @@ Point ParamSpace::encode(const cloud::IoConfig& config,
   p[kIoServers] = config.io_servers;
   p[kPlacement] = config.placement == cloud::Placement::kPartTime ? 0 : 1;
   p[kStripeSize] = substrate.single_server ? 0.0 : config.stripe_size;
+}
+
+void ParamSpace::encode_workload(const io::Workload& workload, double* p) {
   p[kNumProcs] = workload.num_processes;
   p[kNumIoProcs] = workload.num_io_processes;
   p[kInterface] = io::is_mpiio_family(workload.interface) ? 1 : 0;
@@ -219,7 +228,6 @@ Point ParamSpace::encode(const cloud::IoConfig& config,
   }
   p[kCollective] = workload.collective ? 1 : 0;
   p[kFileSharing] = workload.file_shared ? 1 : 0;
-  return p;
 }
 
 double ParamSpace::raw_combinations() {

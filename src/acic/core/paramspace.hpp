@@ -38,6 +38,9 @@ enum Dim : int {
   kNumDims
 };
 
+/// The system block is the first kNumSystemDims dimensions of a Point.
+constexpr int kNumSystemDims = kNumProcs;
+
 using Point = std::array<double, kNumDims>;
 
 struct DimensionSpec {
@@ -87,6 +90,11 @@ class ParamSpace {
   /// Encode a (config, workload) pair.
   static Point encode(const cloud::IoConfig& config,
                       const io::Workload& workload);
+  /// Write one half of `encode` into the kNumDims-wide row `p`: the
+  /// system columns [0, kNumSystemDims) from `config`, or the workload
+  /// columns [kNumSystemDims, kNumDims) from `workload`.
+  static void encode_system(const cloud::IoConfig& config, double* p);
+  static void encode_workload(const io::Workload& workload, double* p);
 
   /// Number of raw value combinations across all 15 dimensions
   /// (~1.77 M, the paper's footnote 1).

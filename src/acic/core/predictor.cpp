@@ -1,9 +1,11 @@
 #include "acic/core/predictor.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "acic/cloud/instance.hpp"
 #include "acic/common/error.hpp"
+#include "acic/core/candidate_grid.hpp"
 #include "acic/core/paramspace.hpp"
 #include "acic/plugin/substrates.hpp"
 #include "acic/storage/device.hpp"
@@ -45,6 +47,65 @@ double preemption_penalty(const cloud::IoConfig& config,
   return slowdown * (model.spot.price_factor + fee_share);
 }
 
+/// Scores `n` candidates of one application in one batch pass: the
+/// workload is encoded once and copied into every row of an n x
+/// kNumDims matrix, and `fill_system(i, row)` writes row i's system
+/// columns.
+template <class FillSystem>
+std::vector<double> score_rows(const ml::Learner& model, std::size_t n,
+                               const io::Workload& traits,
+                               FillSystem fill_system) {
+  std::vector<double> scores(n);
+  if (n == 0) return scores;
+  Point workload{};
+  ParamSpace::encode_workload(traits, workload.data());
+  std::vector<double> matrix(n * kNumDims);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = matrix.data() + i * kNumDims;
+    fill_system(i, row);
+    std::copy(workload.begin() + kNumSystemDims, workload.end(),
+              row + kNumSystemDims);
+  }
+  model.predict_batch(matrix, n, scores);
+  return scores;
+}
+
+/// Restart-aware adjustment: improvements are ratios against the
+/// paper's baseline, and the baseline suffers preemptions too, so each
+/// candidate's penalty is taken relative to the baseline's own.
+template <class ConfigAt>
+void adjust_for_preemption(std::vector<double>& scores, ConfigAt config_at,
+                           const PreemptionModel& preemption,
+                           Objective objective) {
+  if (!preemption.active()) return;
+  const double baseline_penalty =
+      preemption_penalty(cloud::IoConfig::baseline(), preemption, objective);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    const double penalty =
+        preemption_penalty(config_at(i), preemption, objective);
+    scores[i] = scores[i] * baseline_penalty / penalty;
+  }
+}
+
+/// Positions of the top_k scores (all of them when top_k is 0), best
+/// first and ties in position order: exactly what a stable sort by
+/// descending score followed by a resize to top_k returns.
+std::vector<std::size_t> top_positions(const std::vector<double>& scores,
+                                       std::size_t top_k) {
+  std::vector<std::size_t> order(scores.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::size_t k =
+      top_k == 0 ? order.size() : std::min(top_k, order.size());
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(k),
+                    order.end(), [&scores](std::size_t a, std::size_t b) {
+                      if (scores[a] > scores[b]) return true;
+                      return !(scores[b] > scores[a]) && a < b;
+                    });
+  order.resize(k);
+  return order;
+}
+
 }  // namespace
 
 Acic::Acic(const TrainingDatabase& db, Objective objective,
@@ -75,35 +136,51 @@ double Acic::predict(const cloud::IoConfig& config,
 std::vector<double> Acic::predict_batch(
     std::span<const cloud::IoConfig> configs,
     const io::Workload& traits) const {
-  std::vector<double> out(configs.size());
-  if (configs.empty()) return out;
-  std::vector<double> matrix;
-  matrix.reserve(configs.size() * kNumDims);
-  for (const auto& c : configs) {
-    const Point p = ParamSpace::encode(c, traits);
-    matrix.insert(matrix.end(), p.begin(), p.end());
+  const CandidateGrid& grid = CandidateGrid::get();
+  const bool is_grid = configs.data() == grid.configs().data() &&
+                       configs.size() == grid.size();
+  return score_rows(*model_, configs.size(), traits,
+                    [&](std::size_t i, double* row) {
+                      if (is_grid) {
+                        const auto system = grid.system_columns(i);
+                        std::copy(system.begin(), system.end(), row);
+                      } else {
+                        ParamSpace::encode_system(configs[i], row);
+                      }
+                    });
+}
+
+std::vector<GridPick> Acic::rank_grid(
+    const io::Workload& traits, std::size_t top_k,
+    std::span<const std::size_t> rows,
+    const PreemptionModel& preemption) const {
+  const CandidateGrid& grid = CandidateGrid::get();
+  const auto row_at = [&rows](std::size_t i) {
+    return rows.empty() ? i : rows[i];
+  };
+  std::vector<double> scores = score_rows(
+      *model_, rows.empty() ? grid.size() : rows.size(), traits,
+      [&](std::size_t i, double* row) {
+        const auto system = grid.system_columns(row_at(i));
+        std::copy(system.begin(), system.end(), row);
+      });
+  adjust_for_preemption(
+      scores,
+      [&](std::size_t i) -> const cloud::IoConfig& {
+        return grid.configs()[row_at(i)];
+      },
+      preemption, objective_);
+  std::vector<GridPick> picks;
+  for (const std::size_t i : top_positions(scores, top_k)) {
+    picks.push_back(GridPick{row_at(i), scores[i]});
   }
-  model_->predict_batch(matrix, configs.size(), out);
-  return out;
+  return picks;
 }
 
 std::vector<Recommendation> Acic::recommend(
     const io::Workload& traits, std::size_t top_k,
     const std::vector<cloud::IoConfig>& candidates) const {
-  ACIC_CHECK(!candidates.empty());
-  const std::vector<double> scores = predict_batch(candidates, traits);
-  std::vector<Recommendation> recs;
-  recs.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    recs.push_back(Recommendation{candidates[i], scores[i]});
-  }
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const Recommendation& a, const Recommendation& b) {
-                     return a.predicted_improvement >
-                            b.predicted_improvement;
-                   });
-  if (top_k > 0 && recs.size() > top_k) recs.resize(top_k);
-  return recs;
+  return recommend(traits, PreemptionModel{}, top_k, candidates);
 }
 
 double expected_preemption_slowdown(const cloud::IoConfig& config,
@@ -133,28 +210,18 @@ double expected_preemption_slowdown(const cloud::IoConfig& config,
 std::vector<Recommendation> Acic::recommend(
     const io::Workload& traits, const PreemptionModel& preemption,
     std::size_t top_k, const std::vector<cloud::IoConfig>& candidates) const {
-  if (!preemption.active()) return recommend(traits, top_k, candidates);
   ACIC_CHECK(!candidates.empty());
-  const std::vector<double> scores = predict_batch(candidates, traits);
-  // Improvements are ratios against the paper's baseline; the baseline
-  // suffers preemptions too, so each candidate's penalty is taken
-  // relative to the baseline's own.
-  const double baseline_penalty =
-      preemption_penalty(cloud::IoConfig::baseline(), preemption, objective_);
+  std::vector<double> scores = predict_batch(candidates, traits);
+  adjust_for_preemption(
+      scores,
+      [&candidates](std::size_t i) -> const cloud::IoConfig& {
+        return candidates[i];
+      },
+      preemption, objective_);
   std::vector<Recommendation> recs;
-  recs.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double penalty =
-        preemption_penalty(candidates[i], preemption, objective_);
-    recs.push_back(
-        Recommendation{candidates[i], scores[i] * baseline_penalty / penalty});
+  for (const std::size_t i : top_positions(scores, top_k)) {
+    recs.push_back(Recommendation{candidates[i], scores[i]});
   }
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const Recommendation& a, const Recommendation& b) {
-                     return a.predicted_improvement >
-                            b.predicted_improvement;
-                   });
-  if (top_k > 0 && recs.size() > top_k) recs.resize(top_k);
   return recs;
 }
 

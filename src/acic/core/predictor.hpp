@@ -25,6 +25,12 @@ struct Recommendation {
   double predicted_improvement = 0.0;  ///< over baseline; higher is better
 };
 
+/// One ranked row of the default candidate grid (CandidateGrid).
+struct GridPick {
+  std::size_t row = 0;
+  double predicted_improvement = 0.0;  ///< over baseline; higher is better
+};
+
 /// First-order spot-market preemption model for restart-aware ranking.
 /// Configurations with more I/O servers face proportionally more
 /// reclaims; configurations with slower storage pay more for every
@@ -78,10 +84,21 @@ class Acic {
                  const io::Workload& traits) const;
 
   /// Batch-predict many candidate configurations for one application:
-  /// encodes all (config, traits) pairs into a single contiguous matrix
-  /// and evaluates it in one pass.
+  /// encodes the workload once and each config's system columns (copied
+  /// from the CandidateGrid when `configs` is the default grid) into one
+  /// contiguous matrix and evaluates it in one pass.
   std::vector<double> predict_batch(std::span<const cloud::IoConfig> configs,
                                     const io::Workload& traits) const;
+
+  /// The one ranking routine over the default candidate grid: scores
+  /// `rows` of it (every row when empty) in one batch pass, applies an
+  /// active `preemption` model as the restart-aware overload below
+  /// does, and returns the top_k rows (all when 0) best first, ties in
+  /// row order — the order a stable sort by score gives.
+  std::vector<GridPick> rank_grid(const io::Workload& traits,
+                                  std::size_t top_k,
+                                  std::span<const std::size_t> rows,
+                                  const PreemptionModel& preemption) const;
 
   /// Rank all candidate configurations for an application, best first.
   /// `candidates` defaults to the full Table 1 system enumeration.

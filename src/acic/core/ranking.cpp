@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "acic/common/mutex.hpp"
 #include "acic/common/parallel.hpp"
+#include "acic/core/candidate_grid.hpp"
 #include "acic/ior/ior.hpp"
 
 namespace acic::core {
@@ -62,37 +62,29 @@ PbRankingResult run_pb_ranking(const PbRankingOptions& options) {
 }
 
 std::vector<DimensionSpread> model_dimension_spread(
-    const Acic& model, const io::Workload& traits,
-    const std::vector<cloud::IoConfig>& candidates) {
-  ACIC_CHECK(!candidates.empty());
-  // One contiguous pass over every candidate; the per-dimension grouping
-  // below then only shuffles 56 precomputed scores around.
-  const std::vector<double> scores = model.predict_batch(candidates, traits);
-  std::vector<Point> points;
-  points.reserve(candidates.size());
-  for (const auto& c : candidates) {
-    points.push_back(ParamSpace::encode(c, traits));
-  }
+    const Acic& model, const io::Workload& traits) {
+  // One contiguous pass over the candidate grid; the per-dimension
+  // grouping below then only shuffles its precomputed scores around.
+  const CandidateGrid& grid = CandidateGrid::get();
+  const std::vector<double> scores =
+      model.predict_batch(grid.configs(), traits);
 
   std::vector<DimensionSpread> spreads;
   for (const auto& spec : ParamSpace::dimensions()) {
     if (!spec.is_system) continue;
     // Mean predicted improvement per value this dimension actually takes
     // across the (validity-filtered) candidate set.
-    std::map<double, std::pair<double, std::size_t>> by_value;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      auto& [sum, count] = by_value[points[i][spec.dim]];
-      sum += scores[i];
-      ++count;
-    }
+    const auto& groups = grid.value_groups(spec.dim);
     DimensionSpread s;
     s.dim = spec.dim;
     s.name = spec.name;
-    if (by_value.size() >= 2) {
+    if (groups.size() >= 2) {
       double lo = std::numeric_limits<double>::infinity();
       double hi = -std::numeric_limits<double>::infinity();
-      for (const auto& [value, acc] : by_value) {
-        const double mean = acc.first / static_cast<double>(acc.second);
+      for (const auto& rows : groups) {
+        double sum = 0.0;
+        for (const std::size_t row : rows) sum += scores[row];
+        const double mean = sum / static_cast<double>(rows.size());
         lo = std::min(lo, mean);
         hi = std::max(hi, mean);
       }

@@ -52,14 +52,12 @@ struct DimensionSpread {
 };
 
 /// Complement to the PB screening: instead of 32 fresh simulations, one
-/// batch prediction over every candidate configuration (a single
+/// batch prediction over the default candidate grid (a single
 /// flat-tree pass) measures how much the *trained model* thinks each
 /// system dimension matters for this application.  Sorted most important
 /// first; free once a model exists, and workload-specific where the PB
 /// ranking is global.
 std::vector<DimensionSpread> model_dimension_spread(
-    const Acic& model, const io::Workload& traits,
-    const std::vector<cloud::IoConfig>& candidates =
-        cloud::IoConfig::enumerate_candidates());
+    const Acic& model, const io::Workload& traits);
 
 }  // namespace acic::core

@@ -32,19 +32,20 @@ const char* to_string(OpMix m) {
   return "?";
 }
 
-IoInterface interface_from_string(const std::string& s) {
+IoInterface interface_from_string(std::string_view s) {
   if (s == "POSIX" || s == "posix") return IoInterface::kPosix;
-  if (s == "MPI-IO" || s == "mpiio" || s == "mpi-io") return IoInterface::kMpiIo;
+  if (s == "MPI-IO" || s == "mpiio" || s == "mpi-io")
+    return IoInterface::kMpiIo;
   if (s == "HDF5" || s == "hdf5") return IoInterface::kHdf5;
   if (s == "netCDF" || s == "netcdf") return IoInterface::kNetcdf;
-  throw Error("unknown I/O interface: " + s);
+  throw Error("unknown I/O interface: " + std::string(s));
 }
 
-OpMix opmix_from_string(const std::string& s) {
+OpMix opmix_from_string(std::string_view s) {
   if (s == "read") return OpMix::kRead;
   if (s == "write") return OpMix::kWrite;
   if (s == "read+write" || s == "rw") return OpMix::kReadWrite;
-  throw Error("unknown op mix: " + s);
+  throw Error("unknown op mix: " + std::string(s));
 }
 
 bool is_mpiio_family(IoInterface i) { return i != IoInterface::kPosix; }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "acic/common/units.hpp"
 
@@ -26,8 +27,8 @@ enum class OpMix {
 
 const char* to_string(IoInterface i);
 const char* to_string(OpMix m);
-IoInterface interface_from_string(const std::string& s);
-OpMix opmix_from_string(const std::string& s);
+IoInterface interface_from_string(std::string_view s);
+OpMix opmix_from_string(std::string_view s);
 
 /// True for the MPI-IO family (anything that can do collective I/O).
 bool is_mpiio_family(IoInterface i);

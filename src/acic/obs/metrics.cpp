@@ -1,18 +1,18 @@
 #include "acic/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "acic/common/check.hpp"
+#include "acic/common/text.hpp"
 
 namespace acic::obs {
 
 namespace {
 
 std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  TextWriter text(16);
+  text << v;
+  return std::move(text).str();
 }
 
 std::vector<double> geometric_buckets(double first, double ratio, int n) {
@@ -73,9 +73,11 @@ void Histogram::reset() noexcept {
 
 double HistogramSnapshot::quantile(double q) const {
   ACIC_EXPECTS(q >= 0.0 && q <= 1.0, "quantile " << q << " outside [0, 1]");
-  if (count == 0) return 0.0;
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : buckets) total += b;
+  if (total == 0) return 0.0;
   const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(count) + 0.5);
+      q * static_cast<double>(total) + 0.5);
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     cumulative += buckets[i];
@@ -86,21 +88,21 @@ double HistogramSnapshot::quantile(double q) const {
   return bounds.back();
 }
 
-std::string MetricsSnapshot::to_text(const std::string& indent) const {
-  std::string out;
+std::string MetricsSnapshot::to_text(std::string_view indent) const {
+  TextWriter out(64 * (counters.size() + gauges.size()) +
+                 128 * histograms.size());
   for (const auto& [name, value] : counters) {
-    out += indent + name + " " + format_double(value) + "\n";
+    out << indent << name << ' ' << value << '\n';
   }
   for (const auto& [name, value] : gauges) {
-    out += indent + name + " " + format_double(value) + "\n";
+    out << indent << name << ' ' << value << '\n';
   }
   for (const auto& h : histograms) {
-    out += indent + h.name + " count=" + format_double(double(h.count)) +
-           " sum=" + format_double(h.sum) + " mean=" + format_double(h.mean()) +
-           " p50=" + format_double(h.quantile(0.5)) +
-           " p99=" + format_double(h.quantile(0.99)) + "\n";
+    out << indent << h.name << " count=" << static_cast<double>(h.count)
+        << " sum=" << h.sum << " mean=" << h.mean()
+        << " p50=" << h.quantile(0.5) << " p99=" << h.quantile(0.99) << '\n';
   }
-  return out;
+  return std::move(out).str();
 }
 
 CsvTable MetricsSnapshot::to_csv() const {
@@ -108,15 +110,16 @@ CsvTable MetricsSnapshot::to_csv() const {
   t.header = {"name", "kind", "value", "count", "sum", "mean", "p50", "p95",
               "p99"};
   for (const auto& [name, value] : counters) {
-    t.rows.push_back({name, "counter", format_double(value), "", "", "", "",
-                      "", ""});
+    t.rows.push_back({std::string(name), "counter", format_double(value), "",
+                      "", "", "", "", ""});
   }
   for (const auto& [name, value] : gauges) {
-    t.rows.push_back({name, "gauge", format_double(value), "", "", "", "",
-                      "", ""});
+    t.rows.push_back({std::string(name), "gauge", format_double(value), "",
+                      "", "", "", "", ""});
   }
   for (const auto& h : histograms) {
-    t.rows.push_back({h.name, "histogram", "", std::to_string(h.count),
+    t.rows.push_back({std::string(h.name), "histogram", "",
+                      std::to_string(h.count),
                       format_double(h.sum), format_double(h.mean()),
                       format_double(h.quantile(0.5)),
                       format_double(h.quantile(0.95)),
@@ -125,14 +128,14 @@ CsvTable MetricsSnapshot::to_csv() const {
   return t;
 }
 
-const double* MetricsSnapshot::counter(const std::string& name) const {
+const double* MetricsSnapshot::counter(std::string_view name) const {
   for (const auto& c : counters) {
     if (c.first == name) return &c.second;
   }
   return nullptr;
 }
 
-const double* MetricsSnapshot::gauge(const std::string& name) const {
+const double* MetricsSnapshot::gauge(std::string_view name) const {
   for (const auto& g : gauges) {
     if (g.first == name) return &g.second;
   }
@@ -140,7 +143,7 @@ const double* MetricsSnapshot::gauge(const std::string& name) const {
 }
 
 const HistogramSnapshot* MetricsSnapshot::histogram(
-    const std::string& name) const {
+    std::string_view name) const {
   for (const auto& h : histograms) {
     if (h.name == name) return &h;
   }
@@ -205,9 +208,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     HistogramSnapshot hs;
     hs.name = name;
     hs.bounds = h->bounds();
-    hs.buckets.reserve(hs.bounds.size() + 1);
-    for (std::size_t i = 0; i <= hs.bounds.size(); ++i) {
-      hs.buckets.push_back(h->bucket(i));
+    hs.buckets.resize(hs.bounds.size() + 1);
+    for (std::size_t i = 0; i < hs.buckets.size(); ++i) {
+      hs.buckets[i] = h->bucket(i);
     }
     hs.count = h->count();
     hs.sum = h->sum();

@@ -15,9 +15,11 @@
 // Hot-path writes are lock-free (relaxed atomics); a mutex guards only
 // instrument *creation* and snapshotting.  Instrument references stay
 // valid for the registry's lifetime, so callers hoist the name lookup out
-// of their hot loops.  `snapshot()` returns a deep copy that later
-// updates cannot mutate, renderable as text ("name value" lines, greppable
-// like the query protocol) or as a CsvTable for offline analysis.
+// of their hot loops.  `snapshot()` returns a copy of every value that
+// later updates cannot mutate (names and bucket bounds, fixed for an
+// instrument's lifetime, are viewed rather than copied), renderable as
+// text ("name value" lines, greppable like the query protocol) or as a
+// CsvTable for offline analysis.
 #pragma once
 
 #include <atomic>
@@ -25,7 +27,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "acic/common/csv.hpp"
@@ -112,35 +116,41 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// `name` and `bounds` view the registry's instrument (both are fixed
+/// for its lifetime), so a snapshot must not outlive its registry.
 struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;
+  std::string_view name;
+  std::span<const double> bounds;
   std::vector<std::uint64_t> buckets;  ///< bounds.size()+1 (last = overflow)
   std::uint64_t count = 0;
   double sum = 0.0;
 
   double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
   /// Upper bound of the bucket containing quantile q (0..1); the last
-  /// finite bound when q lands in the overflow bucket.
+  /// finite bound when q lands in the overflow bucket.  Ranks against
+  /// the buckets' own total, not `count`: a snapshot taken while
+  /// observe() runs can read a bucket before an observation lands in
+  /// it and `count` after.
   double quantile(double q) const;
 };
 
+/// Instrument names view the registry: a snapshot must not outlive it.
 struct MetricsSnapshot {
-  std::vector<std::pair<std::string, double>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<std::pair<std::string_view, double>> counters;
+  std::vector<std::pair<std::string_view, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
 
   /// "name value" / "name count=… sum=… p50=… p99=…" lines, one per
   /// instrument, sorted by name.  `indent` prefixes every line.
-  std::string to_text(const std::string& indent = "") const;
+  std::string to_text(std::string_view indent = "") const;
   /// One row per instrument: name, kind, value, count, sum, mean, p50,
   /// p95, p99 (empty cells where a column does not apply).
   CsvTable to_csv() const;
 
   /// Lookup helpers (nullptr when absent) — for tests and assertions.
-  const double* counter(const std::string& name) const;
-  const double* gauge(const std::string& name) const;
-  const HistogramSnapshot* histogram(const std::string& name) const;
+  const double* counter(std::string_view name) const;
+  const double* gauge(std::string_view name) const;
+  const HistogramSnapshot* histogram(std::string_view name) const;
 };
 
 /// Named-instrument registry.  `global()` is the process-wide instance;
@@ -162,7 +172,7 @@ class MetricsRegistry {
                        const std::vector<double>& upper_bounds =
                            latency_buckets_us()) ACIC_EXCLUDES(mutex_);
 
-  /// Deep, point-in-time copy of every instrument.
+  /// Point-in-time copy of every instrument's values.
   MetricsSnapshot snapshot() const ACIC_EXCLUDES(mutex_);
 
   /// Zero every instrument (registered handles stay valid).  Meant for

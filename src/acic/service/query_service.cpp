@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <sstream>
+#include <span>
 
 #include "acic/common/error.hpp"
+#include "acic/common/text.hpp"
+#include "acic/core/candidate_grid.hpp"
 #include "acic/exec/executor.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/plugin/substrates.hpp"
@@ -17,56 +19,54 @@ namespace acic::service {
 
 namespace {
 
-std::map<std::string, std::string> parse_pairs(const std::string& line) {
-  std::map<std::string, std::string> kv;
-  std::istringstream is(line);
-  std::string token;
-  is >> token;  // skip the verb
-  while (is >> token) {
-    const auto eq = token.find('=');
-    ACIC_CHECK_MSG(eq != std::string::npos && eq > 0,
-                   "expected key=value, got '" << token << "'");
-    kv[token.substr(0, eq)] = token.substr(eq + 1);
-  }
-  return kv;
+/// The characters `std::istream >>` skips in the classic locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-bool parse_bool(const std::string& v) {
+/// The whitespace-separated token at or after `pos`, advancing `pos`
+/// past it; empty at the end of the line.
+std::string_view next_token(std::string_view line, std::size_t& pos) {
+  while (pos < line.size() && is_space(line[pos])) ++pos;
+  const std::size_t begin = pos;
+  while (pos < line.size() && !is_space(line[pos])) ++pos;
+  return line.substr(begin, pos - begin);
+}
+
+std::string_view verb_of(std::string_view line) {
+  std::size_t pos = 0;
+  return next_token(line, pos);
+}
+
+bool parse_bool(std::string_view v) {
   if (v == "yes" || v == "true" || v == "1" || v == "on") return true;
   if (v == "no" || v == "false" || v == "0" || v == "off") return false;
-  throw Error("expected yes/no, got '" + v + "'");
+  throw Error("expected yes/no, got '" + std::string(v) + "'");
 }
 
-core::Objective parse_objective(const std::string& v) {
+core::Objective parse_objective(std::string_view v) {
   if (v == "performance" || v == "perf" || v == "time") {
     return core::Objective::kPerformance;
   }
   if (v == "cost" || v == "money") return core::Objective::kCost;
-  throw Error("unknown objective '" + v + "'");
+  throw Error("unknown objective '" + std::string(v) + "'");
 }
 
-cloud::IoConfig config_by_label(const std::string& label) {
-  for (const auto& c : cloud::IoConfig::enumerate_candidates()) {
-    if (c.label() == label) return c;
-  }
-  throw Error("unknown config label '" + label + "'");
-}
-
-std::string verb_of(const std::string& line) {
-  std::istringstream is(line);
-  std::string verb;
-  is >> verb;
-  return verb;
+/// Candidate-grid row of a config label.
+std::size_t grid_row_of(std::string_view label) {
+  if (const auto row = core::CandidateGrid::get().find(label)) return *row;
+  throw Error("unknown config label '" + std::string(label) + "'");
 }
 
 /// parse_count, bounded to int for the workload fields.
-int parse_int_field(const std::string& key, const std::string& text) {
+int parse_int_field(std::string_view key, std::string_view text) {
   return static_cast<int>(
       parse_count(key, text, std::numeric_limits<int>::max()));
 }
 
 /// Keys of the simulate verb that are *not* workload keys.
-bool is_simulate_key(const std::string& key) {
+bool is_simulate_key(std::string_view key) {
   static const char* kKeys[] = {
       "seed",       "failures", "brownouts", "brownout_fraction",
       "stragglers", "straggler_factor", "correlated", "permanent",
@@ -82,18 +82,53 @@ bool is_simulate_key(const std::string& key) {
 
 }  // namespace
 
-Bytes parse_size(const std::string& text) {
+RequestPairs::RequestPairs(std::string_view line) {
+  pairs_.reserve(16);
+  std::size_t pos = 0;
+  next_token(line, pos);  // skip the verb
+  for (std::string_view token = next_token(line, pos); !token.empty();
+       token = next_token(line, pos)) {
+    const auto eq = token.find('=');
+    ACIC_CHECK_MSG(eq != std::string::npos && eq > 0,
+                   "expected key=value, got '" << token << "'");
+    pairs_.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+  }
+  // Key order, a repeated key's tokens in line order (their views'
+  // addresses), so only the last of them need survive.  std::sort takes
+  // no allocation and stays O(n log n) on a hostile line.
+  std::sort(pairs_.begin(), pairs_.end(), [](const Pair& a, const Pair& b) {
+    return a.first < b.first ||
+           (a.first == b.first && a.first.data() < b.first.data());
+  });
+  auto kept = pairs_.begin();
+  for (auto it = pairs_.begin(); it != pairs_.end(); ++it) {
+    const auto next = std::next(it);
+    if (next != pairs_.end() && next->first == it->first) continue;
+    *kept++ = *it;
+  }
+  pairs_.erase(kept, pairs_.end());
+}
+
+RequestPairs::const_iterator RequestPairs::find(std::string_view key) const {
+  const auto it = std::lower_bound(
+      pairs_.begin(), pairs_.end(), key,
+      [](const Pair& p, std::string_view k) { return p.first < k; });
+  return it != pairs_.end() && it->first == key ? it : pairs_.end();
+}
+
+Bytes parse_size(std::string_view text) {
   ACIC_CHECK_MSG(!text.empty(), "empty size literal");
+  const std::string literal(text);
   std::size_t pos = 0;
   double value = 0.0;
   try {
-    value = std::stod(text, &pos);
+    value = std::stod(literal, &pos);
   } catch (const std::exception&) {
     // std::stod's "stod" message is useless to a protocol client; name
     // the offending input instead.
-    throw Error("malformed size literal '" + text + "'");
+    throw Error("malformed size literal '" + literal + "'");
   }
-  std::string unit = text.substr(pos);
+  std::string unit = literal.substr(pos);
   std::transform(unit.begin(), unit.end(), unit.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   Bytes scale = 0.0;
@@ -113,46 +148,52 @@ Bytes parse_size(const std::string& text) {
   // Checked after the multiply: "1e300TiB" overflows to +inf only there.
   const Bytes bytes = value * scale;
   if (!std::isfinite(bytes) || bytes <= 0.0) {
-    throw Error("size literal '" + text + "' must be positive and finite");
+    throw Error("size literal '" + literal + "' must be positive and finite");
   }
   return bytes;
 }
 
-double parse_nonneg_double(const std::string& key, const std::string& text) {
+double parse_nonneg_double(std::string_view key, std::string_view text) {
+  const std::string literal(text);
   std::size_t pos = 0;
   double v = 0.0;
   try {
-    v = std::stod(text, &pos);
+    v = std::stod(literal, &pos);
   } catch (const std::exception&) {
-    throw Error(key + "='" + text + "' is not a number");
+    throw Error(std::string(key) + "='" + literal + "' is not a number");
   }
-  if (pos != text.size() || !std::isfinite(v) || v < 0.0) {
-    throw Error(key + "='" + text + "' must be a non-negative number");
+  if (pos != literal.size() || !std::isfinite(v) || v < 0.0) {
+    throw Error(std::string(key) + "='" + literal +
+                "' must be a non-negative number");
   }
   return v;
 }
 
-std::size_t parse_count(const std::string& key, const std::string& text,
+std::size_t parse_count(std::string_view key, std::string_view text,
                         std::size_t max) {
   const bool all_digits =
       !text.empty() &&
       std::all_of(text.begin(), text.end(),
                   [](unsigned char c) { return std::isdigit(c) != 0; });
   if (!all_digits) {
-    throw Error(key + " must be a non-negative integer, got '" + text + "'");
+    throw Error(std::string(key) + " must be a non-negative integer, got '" +
+                std::string(text) + "'");
   }
   std::size_t value = 0;
-  try {
-    value = static_cast<std::size_t>(std::stoull(text));
-  } catch (const std::exception&) {
-    throw Error(key + "='" + text + "' is out of range");
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || value > max) {
+    throw Error(std::string(key) + "='" + std::string(text) +
+                "' is out of range");
   }
-  if (value > max) throw Error(key + "='" + text + "' is out of range");
   return value;
 }
 
-io::Workload parse_workload_query(const std::string& line) {
-  const auto kv = parse_pairs(line);
+io::Workload parse_workload_query(std::string_view line) {
+  return parse_workload_query(RequestPairs(line));
+}
+
+io::Workload parse_workload_query(const RequestPairs& kv) {
   io::Workload w;
   w.name = "query";
   for (const auto& [key, value] : kv) {
@@ -179,7 +220,7 @@ io::Workload parse_workload_query(const std::string& line) {
     } else if (key == "shared") {
       w.file_shared = parse_bool(value);
     } else {
-      throw Error("unknown workload key '" + key + "'");
+      throw Error("unknown workload key '" + std::string(key) + "'");
     }
   }
   w.normalize();
@@ -222,6 +263,37 @@ QueryService::Engine::Engine(core::TrainingDatabase db,
     }
   }
   if (degraded()) build_failures.inc();
+
+  // The fallback recommend's prior: each grid row scored by the PB
+  // effects of its system levels.  The effects are signed impacts on
+  // log(time) (positive = a higher level slows the job down), so a
+  // candidate whose high-valued dimensions carry negative effects
+  // scores well.  Workload traits play no role — this is a
+  // workload-agnostic prior, which is exactly what the paper's
+  // screening phase provides before any model exists.
+  const auto& effects = ranking.effects;
+  const core::CandidateGrid& grid = core::CandidateGrid::get();
+  pb_ranked.reserve(grid.size());
+  for (std::size_t row = 0; row < grid.size(); ++row) {
+    const auto p = grid.system_columns(row);
+    double score = 0.0;
+    for (const auto& d : core::ParamSpace::dimensions()) {
+      if (!d.is_system) continue;
+      const auto dim = static_cast<std::size_t>(d.dim);
+      if (dim >= effects.size()) continue;
+      const double lo = core::ParamSpace::low(d.dim);
+      const double hi = core::ParamSpace::high(d.dim);
+      if (hi <= lo) continue;
+      // Normalise the level to [-1, 1] (the PB design's coding).
+      const double level = 2.0 * (p[dim] - lo) / (hi - lo) - 1.0;
+      score += -effects[dim] * level;
+    }
+    pb_ranked.push_back({row, score});
+  }
+  std::stable_sort(pb_ranked.begin(), pb_ranked.end(),
+                   [](const PbPick& a, const PbPick& b) {
+                     return a.score > b.score;
+                   });
 }
 
 QueryService::QueryService(core::TrainingDatabase database,
@@ -251,7 +323,7 @@ QueryService::QueryService(core::TrainingDatabase database,
 }
 
 const QueryService::VerbMetrics& QueryService::metrics_for(
-    const std::string& verb) const {
+    std::string_view verb) const {
   if (verb == "recommend") return recommend_metrics_;
   if (verb == "predict") return predict_metrics_;
   if (verb == "rank") return rank_metrics_;
@@ -264,7 +336,7 @@ const QueryService::VerbMetrics& QueryService::metrics_for(
 std::string QueryService::handle(
     const std::string& request_line,
     std::chrono::steady_clock::time_point admitted_at) {
-  const std::string verb = verb_of(request_line);
+  const std::string_view verb = verb_of(request_line);
   const VerbMetrics& vm = metrics_for(verb);
   vm.requests->inc();
 
@@ -282,10 +354,10 @@ std::string QueryService::handle(
     const double waited_us = elapsed_us_since(admitted_at);
     if (waited_us > deadline_us_) {
       deadline_exceeded_->inc();
-      std::ostringstream os;
+      TextWriter os;
       os << "timeout request exceeded deadline (" << waited_us << "us > "
          << deadline_us_ << "us) phase=queue\n";
-      return os.str();
+      return std::move(os).str();
     }
   }
 
@@ -298,27 +370,33 @@ std::string QueryService::handle(
     const double elapsed_us = elapsed_us_since(admitted_at);
     if (elapsed_us > deadline_us_) {
       deadline_exceeded_->inc();
-      std::ostringstream os;
+      TextWriter os;
       os << "timeout request exceeded deadline (" << elapsed_us << "us > "
          << deadline_us_ << "us) phase=compute degraded=yes\n";
-      return os.str();
+      return std::move(os).str();
     }
   }
   return response;
 }
 
-std::string QueryService::dispatch(const std::string& verb,
+std::string QueryService::dispatch(std::string_view verb,
                                    const std::string& request_line) {
+  // Only the verbs that take key=value pairs tokenize the line (once),
+  // so a malformed token cannot fail stats, plugins or help.
   try {
-    if (verb == "recommend") return handle_recommend(engine_, request_line);
-    if (verb == "predict") return handle_predict(engine_, request_line);
-    if (verb == "rank") return handle_rank(engine_, request_line);
-    if (verb == "simulate") return handle_simulate(request_line);
+    if (verb == "recommend") {
+      return handle_recommend(engine_, RequestPairs(request_line));
+    }
+    if (verb == "predict") {
+      return handle_predict(engine_, RequestPairs(request_line));
+    }
+    if (verb == "rank") return handle_rank(engine_, RequestPairs(request_line));
+    if (verb == "simulate") return handle_simulate(RequestPairs(request_line));
     if (verb == "stats") return handle_stats(engine_);
     if (verb == "plugins") return handle_plugins();
     if (verb == "help" || verb.empty()) return help_text();
     errors_->inc();
-    return "error unknown verb '" + verb + "' (try: help)\n";
+    return "error unknown verb '" + std::string(verb) + "' (try: help)\n";
   } catch (const std::exception& e) {
     errors_->inc();
     return std::string("error ") + e.what() + "\n";
@@ -326,8 +404,7 @@ std::string QueryService::dispatch(const std::string& verb,
 }
 
 std::string QueryService::handle_recommend(const Engine& engine,
-                                           const std::string& line) {
-  const auto kv = parse_pairs(line);
+                                           const RequestPairs& kv) {
   const auto obj_it = kv.find("objective");
   const core::Objective objective =
       obj_it == kv.end() ? core::Objective::kPerformance
@@ -335,24 +412,21 @@ std::string QueryService::handle_recommend(const Engine& engine,
   const auto k_it = kv.find("top_k");
   const std::size_t top_k =
       k_it == kv.end() ? 3 : parse_count("top_k", k_it->second);
-  const auto traits = parse_workload_query(line);
+  const auto traits = parse_workload_query(kv);
 
   // Optional fs= filter: restrict the candidate pool to one registered
-  // filesystem.  An unknown name throws the registry's PluginError
-  // listing the registered filesystems.
+  // filesystem's rows of the grid.  An unknown name throws the
+  // registry's PluginError listing the registered filesystems.
+  const core::CandidateGrid& grid = core::CandidateGrid::get();
   const auto fs_it = kv.find("fs");
-  std::vector<cloud::IoConfig> candidates;
+  std::span<const std::size_t> rows;  // empty: the whole grid
   if (fs_it != kv.end()) {
     const auto& substrate = plugin::filesystem_named(fs_it->second);
-    for (const auto& c : cloud::IoConfig::enumerate_candidates()) {
-      if (c.fs == substrate.type) candidates.push_back(c);
-    }
-    if (candidates.empty()) {
+    rows = grid.rows_on(substrate.type);
+    if (rows.empty()) {
       throw Error("no candidate configs for filesystem '" + substrate.name +
                   "' (registered, but not in the default grid)");
     }
-  } else {
-    candidates = cloud::IoConfig::enumerate_candidates();
   }
 
   // Optional learner= selection; defaults to the engine's primary.
@@ -360,9 +434,9 @@ std::string QueryService::handle_recommend(const Engine& engine,
   // registered name the engine did not train is a typed error
   // listing what *is* trained.
   const auto learner_it = kv.find("learner");
-  const std::string learner = learner_it != kv.end()
-                                  ? learner_it->second
-                                  : engine.primary_learner();
+  const std::string_view learner = learner_it != kv.end()
+                                       ? learner_it->second
+                                       : engine.primary_learner();
   plugin::learners().lookup(learner);
   const core::Acic* model = engine.model_for(objective, learner);
   if (model == nullptr) {
@@ -401,32 +475,29 @@ std::string QueryService::handle_recommend(const Engine& engine,
     preemption.spot.per_restart_cost =
         parse_nonneg_double("restart_cost", it->second);
   }
-  const auto recs =
-      preemption.active()
-          ? model->recommend(traits, preemption, top_k, candidates)
-          : model->recommend(traits, top_k, candidates);
-  std::ostringstream os;
-  os << "ok " << recs.size() << " recommendations (objective="
+  const auto picks = model->rank_grid(traits, top_k, rows, preemption);
+  TextWriter os(64 + 48 * picks.size());
+  os << "ok " << picks.size() << " recommendations (objective="
      << core::to_string(objective);
   if (learner_it != kv.end()) os << ", learner=" << learner;
   if (fs_it != kv.end()) os << ", fs=" << fs_it->second;
   if (preemption.active()) os << ", preemption_adjusted=yes";
   os << ")\n";
-  for (const auto& r : recs) {
-    os << "  " << r.config.label() << " predicted_improvement="
-       << r.predicted_improvement << "\n";
+  for (const auto& pick : picks) {
+    os << "  " << grid.label(pick.row)
+       << " predicted_improvement=" << pick.predicted_improvement << "\n";
   }
-  return os.str();
+  return std::move(os).str();
 }
 
 Error QueryService::untrained_learner_error(const Engine& engine,
-                                            const std::string& learner) {
+                                            std::string_view learner) {
   std::string trained;
   for (const auto& [name, set] : engine.models) {
     if (!trained.empty()) trained += ", ";
     trained += name;
   }
-  return Error("learner '" + learner +
+  return Error("learner '" + std::string(learner) +
                "' is not trained in this snapshot (trained: " +
                (trained.empty() ? "none" : trained) + ")");
 }
@@ -434,67 +505,32 @@ Error QueryService::untrained_learner_error(const Engine& engine,
 std::string QueryService::fallback_recommend(const Engine& engine,
                                              core::Objective objective,
                                              std::size_t top_k) {
-  // Score each candidate by the PB effects of its system levels: the
-  // effects are signed impacts on log(time) (positive = a higher level
-  // slows the job down), so a candidate whose high-valued dimensions
-  // carry negative effects scores well.  Workload traits play no role —
-  // this is a workload-agnostic prior, which is exactly what the paper's
-  // screening phase provides before any model exists.
-  const auto& effects = engine.ranking.effects;
-  struct Scored {
-    double score = 0.0;
-    const cloud::IoConfig* config = nullptr;
-  };
-  const auto candidates = cloud::IoConfig::enumerate_candidates();
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
-  io::Workload neutral;  // defaults; only system dims are scored anyway
-  for (const auto& c : candidates) {
-    const core::Point p = core::ParamSpace::encode(c, neutral);
-    double score = 0.0;
-    for (const auto& d : core::ParamSpace::dimensions()) {
-      if (!d.is_system) continue;
-      const auto dim = static_cast<std::size_t>(d.dim);
-      if (dim >= effects.size()) continue;
-      const double lo = core::ParamSpace::low(d.dim);
-      const double hi = core::ParamSpace::high(d.dim);
-      if (hi <= lo) continue;
-      // Normalise the level to [-1, 1] (the PB design's coding).
-      const double level = 2.0 * (p[dim] - lo) / (hi - lo) - 1.0;
-      score += -effects[dim] * level;
-    }
-    scored.push_back({score, &c});
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     return a.score > b.score;
-                   });
-  const std::size_t n = std::min(top_k, scored.size());
-  std::ostringstream os;
+  const core::CandidateGrid& grid = core::CandidateGrid::get();
+  const std::size_t n = std::min(top_k, engine.pb_ranked.size());
+  TextWriter os(80 + 40 * n);
   os << "ok " << n << " recommendations (objective="
      << core::to_string(objective) << ", fallback=pb-ranking)\n";
   for (std::size_t i = 0; i < n; ++i) {
-    os << "  " << scored[i].config->label() << " pb_score="
-       << scored[i].score << "\n";
+    os << "  " << grid.label(engine.pb_ranked[i].row)
+       << " pb_score=" << engine.pb_ranked[i].score << "\n";
   }
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string QueryService::handle_predict(const Engine& engine,
-                                         const std::string& line) {
-  const auto kv = parse_pairs(line);
+                                         const RequestPairs& kv) {
   const auto cfg_it = kv.find("config");
   ACIC_CHECK_MSG(cfg_it != kv.end(), "predict needs config=<label>");
-  const auto config = config_by_label(cfg_it->second);
+  const std::size_t row = grid_row_of(cfg_it->second);
   const auto obj_it = kv.find("objective");
   const core::Objective objective =
       obj_it == kv.end() ? core::Objective::kPerformance
                          : parse_objective(obj_it->second);
-  const auto traits = parse_workload_query(line);
+  const auto traits = parse_workload_query(kv);
   const auto learner_it = kv.find("learner");
-  const std::string learner = learner_it != kv.end()
-                                  ? learner_it->second
-                                  : engine.primary_learner();
+  const std::string_view learner = learner_it != kv.end()
+                                       ? learner_it->second
+                                       : engine.primary_learner();
   plugin::learners().lookup(learner);  // typed unknown-learner error
   const core::Acic* model = engine.model_for(objective, learner);
   if (model == nullptr && learner_it != kv.end()) {
@@ -503,26 +539,28 @@ std::string QueryService::handle_predict(const Engine& engine,
   ACIC_CHECK_MSG(model != nullptr,
                  "no trained model snapshot available (empty training "
                  "database?); try recommend for a PB-ranking fallback");
-  const double improvement = model->predict(config, traits);
-  std::ostringstream os;
-  os << "ok predicted_improvement=" << improvement << " config="
-     << config.label() << " objective=" << core::to_string(objective);
+  const core::CandidateGrid& grid = core::CandidateGrid::get();
+  const double improvement = model->predict(grid.configs()[row], traits);
+  TextWriter os(128);
+  os << "ok predicted_improvement=" << improvement
+     << " config=" << grid.label(row)
+     << " objective=" << core::to_string(objective);
   if (learner_it != kv.end()) os << " learner=" << learner;
   os << "\n";
-  return os.str();
+  return std::move(os).str();
 }
 
-std::string QueryService::handle_simulate(const std::string& line) {
-  const auto kv = parse_pairs(line);
+std::string QueryService::handle_simulate(const RequestPairs& kv) {
   const auto cfg_it = kv.find("config");
   ACIC_CHECK_MSG(cfg_it != kv.end(), "simulate needs config=<label>");
-  const auto config = config_by_label(cfg_it->second);
-  const auto traits = parse_workload_query(line);
+  const auto config =
+      core::CandidateGrid::get().configs()[grid_row_of(cfg_it->second)];
+  const auto traits = parse_workload_query(kv);
 
   io::RunOptions opts;
   const auto get = [&kv](const char* key) {
     const auto it = kv.find(key);
-    return it == kv.end() ? static_cast<const std::string*>(nullptr)
+    return it == kv.end() ? static_cast<const std::string_view*>(nullptr)
                           : &it->second;
   };
   // chaos=<preset> seeds the whole fault model from a registered plugin
@@ -615,7 +653,7 @@ std::string QueryService::handle_simulate(const std::string& line) {
   // answers from the run cache instead of burning a fresh simulation.
   const auto r = exec::Executor::global().run(
       exec::RunRequest{traits, config, opts});
-  std::ostringstream os;
+  TextWriter os;
   os << "ok time=" << r.total_time << " cost=" << r.cost
      << " outcome=" << io::to_string(r.outcome) << " retries=" << r.retries
      << " timeouts=" << r.timeouts << " failed_requests="
@@ -624,18 +662,17 @@ std::string QueryService::handle_simulate(const std::string& line) {
      << " restarts=" << r.restarts << " lost_time=" << r.lost_sim_time
      << " checkpoint_bytes=" << r.checkpoint_bytes
      << " sim_events=" << r.sim_events << "\n";
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string QueryService::handle_rank(const Engine& engine,
-                                      const std::string& line) {
-  const auto kv = parse_pairs(line);
+                                      const RequestPairs& kv) {
   const auto top_it = kv.find("top");
   std::size_t top = top_it == kv.end()
                         ? engine.ranking.importance.size()
                         : parse_count("top", top_it->second);
   top = std::min(top, engine.ranking.importance.size());
-  std::ostringstream os;
+  TextWriter os(512);
   os << "ok " << top << " dimensions by PB importance\n";
   for (std::size_t i = 0; i < top; ++i) {
     const auto dim = static_cast<core::Dim>(engine.ranking.importance[i]);
@@ -658,7 +695,7 @@ std::string QueryService::handle_rank(const Engine& engine,
     ACIC_CHECK_MSG(model != nullptr,
                    "no trained model snapshot for the model-spread section "
                    "(empty training database?)");
-    const auto traits = parse_workload_query(line);
+    const auto traits = parse_workload_query(kv);
     const auto spreads = core::model_dimension_spread(*model, traits);
     os << "  model spread (objective=" << core::to_string(objective)
        << ", workload-specific, higher = more impact)\n";
@@ -667,13 +704,13 @@ std::string QueryService::handle_rank(const Engine& engine,
          << " spread=" << spreads[i].spread << "\n";
     }
   }
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string QueryService::handle_stats(const Engine& engine) {
-  std::ostringstream os;
+  TextWriter os(4096);
   os << "ok database=" << engine.database.size() << " samples, "
-     << cloud::IoConfig::enumerate_candidates().size()
+     << core::CandidateGrid::get().size()
      << " candidate configs, mode="
      << (engine.degraded() ? "fallback" : "full") << "\n";
   std::string trained;
@@ -688,17 +725,18 @@ std::string QueryService::handle_stats(const Engine& engine) {
        << "\n";
   }
   os << obs::MetricsRegistry::global().snapshot().to_text("  ");
-  return os.str();
+  return std::move(os).str();
 }
+
 
 std::string QueryService::handle_plugins() {
   const auto& inv = plugin::inventory();
-  std::ostringstream os;
+  TextWriter os(512);
   os << "ok " << inv.size() << " plugins registered\n";
   for (const auto& info : inv) {
     os << "  " << plugin::to_string(info.kind) << " " << info.name << "\n";
   }
-  return os.str();
+  return std::move(os).str();
 }
 
 std::string QueryService::help_text() {

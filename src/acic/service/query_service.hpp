@@ -41,6 +41,10 @@
 // trained model pair per learner) before any request can arrive, so
 // `handle()` reads it from any number of threads without a lock and the
 // hot path never trains.  A new training database means a new service.
+// What no request changes is built once — the candidate grid and its
+// labels, label index and encoded columns (core::CandidateGrid), and
+// the PB fallback ranking — so a request pays for one tokenization
+// (RequestPairs), one batch prediction and one answer string.
 // Every request is counted and timed into the process-wide `acic::obs`
 // registry under `service.requests.<verb>` / `service.latency_us.<verb>`.
 #pragma once
@@ -51,6 +55,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "acic/core/predictor.hpp"
@@ -63,23 +68,49 @@ namespace acic::service {
 /// Parse a size literal: "4MiB", "256KiB", "1.5GiB", "2048" (bytes).
 /// The value must be a positive, finite number; anything else (including
 /// "-4MiB", "nan", or a bare unit) throws acic::Error naming the input.
-Bytes parse_size(const std::string& text);
+Bytes parse_size(std::string_view text);
 
 /// Parse a non-negative, finite number (failures=…, timeout=…, and the
 /// examples' rate and deadline flags).  Trailing junk ("4junk"),
 /// negative values, nan and inf throw acic::Error naming the key and text.
-double parse_nonneg_double(const std::string& key, const std::string& text);
+double parse_nonneg_double(std::string_view key, std::string_view text);
 
 /// Parse a non-negative integer protocol field (top_k=…, np=…).  Signs,
 /// non-digit characters, and values above `max` throw acic::Error with
 /// the offending key and text (std::stoul would happily wrap "-1").
 std::size_t parse_count(
-    const std::string& key, const std::string& text,
+    std::string_view key, std::string_view text,
     std::size_t max = std::numeric_limits<std::size_t>::max());
+
+/// The key=value tokens of one protocol line, after its verb, tokenized
+/// once: tokens are separated by the characters `std::istream >>`
+/// skips (space, \t, \n, \v, \f, \r), split at their first '=', and
+/// kept as views into the line, which must outlive them.  Iteration is
+/// in key order and a repeated key keeps its last value — a
+/// std::map<std::string, std::string> filled token by token, without
+/// the copies.  A token with no '=' or an empty key throws, naming the
+/// first such token in line order.
+class RequestPairs {
+ public:
+  using Pair = std::pair<std::string_view, std::string_view>;
+  using const_iterator = std::vector<Pair>::const_iterator;
+
+  explicit RequestPairs(std::string_view line);
+
+  const_iterator begin() const { return pairs_.begin(); }
+  const_iterator end() const { return pairs_.end(); }
+  /// The pair with this key, or end().
+  const_iterator find(std::string_view key) const;
+
+ private:
+  std::vector<Pair> pairs_;
+};
 
 /// Parse one protocol line into a workload description.  Unknown keys
 /// throw; missing keys keep the defaults below.
-io::Workload parse_workload_query(const std::string& line);
+io::Workload parse_workload_query(std::string_view line);
+/// The same, from a line already tokenized.
+io::Workload parse_workload_query(const RequestPairs& kv);
 
 /// Service settings, fixed for the service's lifetime.
 struct ServiceOptions {
@@ -143,6 +174,12 @@ class QueryService {
     Engine(core::TrainingDatabase db, core::PbRankingResult rank,
            std::vector<std::string> learner_names);
 
+    /// A candidate-grid row scored by the PB effects alone.
+    struct PbPick {
+      std::size_t row = 0;
+      double score = 0.0;
+    };
+
     core::TrainingDatabase database;
     core::PbRankingResult ranking;
     /// Requested learner plugin names; front() is the primary.
@@ -150,6 +187,10 @@ class QueryService {
     /// Trained models per learner; a learner whose training threw is
     /// simply absent (per-learner failure isolation).
     std::map<std::string, ModelSet, std::less<>> models;
+    /// Every candidate-grid row ranked by the PB-effects prior, best
+    /// first: the fallback recommend's answer, workload-independent and
+    /// so computed once.
+    std::vector<PbPick> pb_ranked;
 
     const std::string& primary_learner() const { return learners.front(); }
     bool degraded() const { return model_set(primary_learner()) == nullptr; }
@@ -170,13 +211,11 @@ class QueryService {
     }
   };
 
-  std::string handle_recommend(const Engine& engine,
-                               const std::string& line);
+  std::string handle_recommend(const Engine& engine, const RequestPairs& kv);
   static std::string handle_predict(const Engine& engine,
-                                    const std::string& line);
-  static std::string handle_rank(const Engine& engine,
-                                 const std::string& line);
-  static std::string handle_simulate(const std::string& line);
+                                    const RequestPairs& kv);
+  static std::string handle_rank(const Engine& engine, const RequestPairs& kv);
+  static std::string handle_simulate(const RequestPairs& kv);
   static std::string handle_stats(const Engine& engine);
   static std::string handle_plugins();
   static std::string help_text();
@@ -184,14 +223,13 @@ class QueryService {
   /// unknown-name PluginError the registry itself throws): lists the
   /// learners the engine actually trained.
   static Error untrained_learner_error(const Engine& engine,
-                                       const std::string& learner);
-  /// PB-effects fallback: score every candidate config against the
-  /// screening effects and return the top_k (used when no trained model
-  /// exists).
+                                       std::string_view learner);
+  /// PB-effects fallback: the top_k of the engine's PB-ranked candidate
+  /// grid (used when no trained model exists).
   static std::string fallback_recommend(const Engine& engine,
                                         core::Objective objective,
                                         std::size_t top_k);
-  std::string dispatch(const std::string& verb, const std::string& line);
+  std::string dispatch(std::string_view verb, const std::string& line);
 
   /// Per-verb instruments, resolved once at construction so the request
   /// path never takes the registry lock.
@@ -199,7 +237,7 @@ class QueryService {
     obs::Counter* requests = nullptr;
     obs::Histogram* latency_us = nullptr;
   };
-  const VerbMetrics& metrics_for(const std::string& verb) const;
+  const VerbMetrics& metrics_for(std::string_view verb) const;
 
   const Engine engine_;
   const double deadline_us_;

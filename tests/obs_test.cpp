@@ -97,6 +97,30 @@ TEST(MetricsHistogramTest, SnapshotQuantiles) {
   EXPECT_NEAR(hs->mean(), (90 * 0.5 + 10 * 5.0) / 100.0, 1e-12);
 }
 
+// A snapshot taken while observe() runs can read a bucket before an
+// observation lands in it and `count` after: count one above the bucket
+// sum.  Quantiles used to rank against `count`, ran past the last
+// bucket and reported the last bound (16,777,216 us for the latency
+// buckets) as the p99 of a histogram whose samples all sit in bucket 0.
+TEST(MetricsSnapshotTest, QuantilesRankAgainstTheBucketsNotCount) {
+  const std::vector<double> bounds = {1.0, 4.0, 16.0};
+  HistogramSnapshot hs;
+  hs.name = "lat";
+  hs.bounds = bounds;
+  hs.buckets = {1, 0, 0, 0};
+  hs.count = 2;
+  hs.sum = 0.5;
+  EXPECT_DOUBLE_EQ(hs.quantile(0.5), 1.0);
+  EXPECT_DOUBLE_EQ(hs.quantile(0.99), 1.0);
+  EXPECT_DOUBLE_EQ(hs.quantile(1.0), 1.0);
+
+  MetricsSnapshot snap;
+  snap.histograms.push_back(hs);
+  EXPECT_NE(snap.to_text().find("lat count=2 sum=0.5 mean=0.25 p50=1 p99=1\n"),
+            std::string::npos)
+      << snap.to_text();
+}
+
 TEST(MetricsSnapshotTest, SnapshotIsIsolatedFromLaterWrites) {
   MetricsRegistry registry;
   auto& c = registry.counter("c");

@@ -3,7 +3,9 @@
 // QueryService::handle), the shared training CSV
 // (TrainingDatabase::from_csv) and RunStore rows re-framed with valid
 // CRCs, so only the row parser stands between a corrupt cell and a
-// loaded result.
+// loaded result.  A differential half runs protocol lines through the
+// service's tokenizer and through the istringstream + std::map one it
+// replaced, kept here verbatim as the reference.
 //
 // Each case mutates a valid input one to three times — drop, duplicate
 // or swap a token; flip a byte; replace a value with a numeric extreme —
@@ -18,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -33,6 +36,7 @@
 #include "acic/exec/runkey.hpp"
 #include "acic/exec/store.hpp"
 #include "acic/service/query_service.hpp"
+#include "service_fixture.hpp"
 
 namespace acic {
 namespace {
@@ -160,30 +164,33 @@ core::PbRankingResult fuzz_ranking() {
   return r;
 }
 
+/// Valid protocol lines the mutations start from.
+const std::vector<std::string> kProtocolSeeds = {
+    "recommend objective=performance top_k=3 np=256 io_procs=256 "
+    "interface=MPI-IO iterations=40 data=4MiB request=4MiB op=write "
+    "collective=yes shared=yes",
+    "recommend objective=cost top_k=2 fs=pvfs2 learner=cart np=64 "
+    "io_procs=64 interface=POSIX iterations=1 data=1344MiB request=1MiB "
+    "op=read",
+    "recommend objective=performance top_k=3 preemptions=0.5 "
+    "checkpoint_interval=300 checkpoint_bytes=2GiB spot_factor=0.35 "
+    "restart_cost=0.08 np=64 data=64MiB",
+    "predict config=pvfs.4.D.eph.4M objective=performance np=64 "
+    "data=128MiB op=write",
+    "predict config=nfs.D.ebs objective=cost np=32 io_procs=8 "
+    "iterations=10 data=16MiB request=256KiB op=rw",
+    "rank top=3",
+    "rank model=yes objective=cost np=32 io_procs=32 data=16MiB "
+    "request=256KiB op=read",
+};
+
 TEST(ParserFuzz, ProtocolLinesAnswerOkOrErrorWithFiniteSizes) {
-  const std::vector<std::string> seeds = {
-      "recommend objective=performance top_k=3 np=256 io_procs=256 "
-      "interface=MPI-IO iterations=40 data=4MiB request=4MiB op=write "
-      "collective=yes shared=yes",
-      "recommend objective=cost top_k=2 fs=pvfs2 learner=cart np=64 "
-      "io_procs=64 interface=POSIX iterations=1 data=1344MiB request=1MiB "
-      "op=read",
-      "recommend objective=performance top_k=3 preemptions=0.5 "
-      "checkpoint_interval=300 checkpoint_bytes=2GiB spot_factor=0.35 "
-      "restart_cost=0.08 np=64 data=64MiB",
-      "predict config=pvfs.4.D.eph.4M objective=performance np=64 "
-      "data=128MiB op=write",
-      "predict config=nfs.D.ebs objective=cost np=32 io_procs=8 "
-      "iterations=10 data=16MiB request=256KiB op=rw",
-      "rank top=3",
-      "rank model=yes objective=cost np=32 io_procs=32 data=16MiB "
-      "request=256KiB op=read",
-  };
   service::QueryService svc(fuzz_db(), fuzz_ranking());
   Mutator mutator(0xAC1C0001);
   int answered_ok = 0, answered_error = 0;
   for (int n = 0; n < 1500; ++n) {
-    auto tokens = split(seeds[mutator.below(seeds.size())], ' ');
+    const std::size_t pick = mutator.below(kProtocolSeeds.size());
+    auto tokens = split(kProtocolSeeds[pick], ' ');
     mutator.mutate(tokens, /*keyed=*/true);
     const std::string line = join(tokens, ' ');
 
@@ -215,6 +222,146 @@ TEST(ParserFuzz, ProtocolLinesAnswerOkOrErrorWithFiniteSizes) {
   // The mutations reach both the accept and the reject paths.
   EXPECT_GT(answered_ok, 0);
   EXPECT_GT(answered_error, 0);
+}
+
+// ---------------------------------------------------------------------
+// Protocol tokenizer, differentially
+// ---------------------------------------------------------------------
+
+/// The protocol tokenizer QueryService used before RequestPairs,
+/// verbatim: the reference for key order, duplicate keys, separators
+/// and the first-bad-token error.
+std::map<std::string, std::string> parse_pairs(const std::string& line) {
+  std::map<std::string, std::string> kv;
+  std::istringstream is(line);
+  std::string token;
+  is >> token;  // skip the verb
+  while (is >> token) {
+    const auto eq = token.find('=');
+    ACIC_CHECK_MSG(eq != std::string::npos && eq > 0,
+                   "expected key=value, got '" << token << "'");
+    kv[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  return kv;
+}
+
+std::string reference_verb(const std::string& line) {
+  std::istringstream is(line);
+  std::string verb;
+  is >> verb;
+  return verb;
+}
+
+/// The two differential line sets: seeded mutations of the protocol
+/// seeds, and separator/token variants of each seed — every separator
+/// `>>` skips, leading, trailing and repeated separators, and the
+/// tokens np=, =64, a=b=c, ==, = and a repeated key.
+std::vector<std::string> differential_lines() {
+  std::vector<std::string> lines;
+  Mutator mutator(0xAC1C0004);
+  for (int n = 0; n < 1500; ++n) {
+    const std::size_t pick = mutator.below(kProtocolSeeds.size());
+    auto tokens = split(kProtocolSeeds[pick], ' ');
+    mutator.mutate(tokens, /*keyed=*/true);
+    lines.push_back(join(tokens, ' '));
+  }
+  const std::vector<std::string> separators = {
+      "\t", "\v", "\f", "\r", "\n", "  ", " \t\v\f\r "};
+  const std::vector<std::string> extra = {
+      "np=", "=64", "a=b=c", "==", "=", "np=32 np=64", "top=1 top=2",
+      "x=1=2=3"};
+  for (const auto& seed : kProtocolSeeds) {
+    const auto tokens = split(seed, ' ');
+    for (const auto& sep : separators) {
+      std::string joined;
+      for (const auto& t : tokens) joined += t + sep;
+      // A trailing separator; a leading one; repeated ones at both ends.
+      lines.push_back(joined);
+      lines.push_back(sep + joined);
+      lines.push_back(sep + sep + joined + sep);
+    }
+    // Each extra token at the end of the line and right after the verb.
+    const std::string after_verb = seed.substr(tokens.front().size());
+    for (const auto& token : extra) {
+      lines.push_back(seed + " " + token);
+      lines.push_back(tokens.front() + " " + token + after_verb);
+    }
+  }
+  for (const char* line :
+       {"", " ", "\t\r", "recommend", "rank\v", "=", "=x", "a=b"}) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+// RequestPairs against the reference tokenizer: the same pairs in the
+// same key order, or the same rejection (the same first bad token).
+TEST(ParserDifferential, TokenizerMatchesReference) {
+  int accepted = 0, rejected = 0;
+  for (const auto& line : differential_lines()) {
+    std::map<std::string, std::string> want;
+    std::string want_error;
+    try {
+      want = parse_pairs(line);
+    } catch (const Error& e) {
+      want_error = service::masked_location(e.what());
+    }
+    try {
+      const service::RequestPairs got(line);
+      EXPECT_TRUE(want_error.empty())
+          << line << "\n  accepted; the reference rejects: " << want_error;
+      using Pairs = std::vector<std::pair<std::string, std::string>>;
+      Pairs pairs;
+      for (const auto& [key, value] : got) {
+        pairs.emplace_back(std::string(key), std::string(value));
+      }
+      EXPECT_EQ(pairs, Pairs(want.begin(), want.end())) << line;
+      for (const auto& [key, value] : want) {
+        const auto it = got.find(key);
+        ASSERT_NE(it, got.end()) << key << " in " << line;
+        EXPECT_EQ(it->second, value) << line;
+      }
+      EXPECT_EQ(got.find("no_such_key"), got.end());
+      ++accepted;
+    } catch (const Error& e) {
+      EXPECT_EQ(service::masked_location(e.what()), want_error) << line;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// Through QueryService::handle: a line answers exactly as its reference
+// tokenization says.  An accepted line answers as the canonical line
+// rebuilt from the reference pairs (verb, then key=value in key order,
+// one space apart); a rejected one answers the reference's error on the
+// verbs that take pairs, and as the bare verb on the others.
+TEST(ParserDifferential, AnswersMatchReferenceTokenization) {
+  service::QueryService svc(fuzz_db(), fuzz_ranking());
+  int compared = 0;
+  for (const auto& line : differential_lines()) {
+    const std::string verb = reference_verb(line);
+    // stats answers move with the metrics; simulate runs simulations.
+    if (verb == "stats" || verb == "simulate") continue;
+    std::string expected;
+    try {
+      std::string canonical = verb;
+      for (const auto& [key, value] : parse_pairs(line)) {
+        canonical += " " + key + "=" + value;
+      }
+      expected = service::masked_location(svc.handle(canonical));
+    } catch (const Error& e) {
+      const bool takes_pairs =
+          verb == "recommend" || verb == "predict" || verb == "rank";
+      expected = takes_pairs
+                     ? "error " + service::masked_location(e.what()) + "\n"
+                     : service::masked_location(svc.handle(verb));
+    }
+    EXPECT_EQ(service::masked_location(svc.handle(line)), expected) << line;
+    ++compared;
+  }
+  EXPECT_GT(compared, 1000);
 }
 
 // ---------------------------------------------------------------------

@@ -11,49 +11,10 @@
 #include "acic/common/parallel.hpp"
 #include "acic/obs/metrics.hpp"
 #include "acic/service/query_service.hpp"
+#include "service_fixture.hpp"
 
 namespace acic::service {
 namespace {
-
-/// A tiny synthetic database: PVFS2-4-ephemeral points improve over
-/// baseline, everything else does not.  Enough structure for CART to
-/// learn a preference without running a single simulation.
-core::TrainingDatabase synthetic_db() {
-  core::TrainingDatabase db;
-  const auto defaults = core::default_point();
-  int tick = 0;
-  for (const auto& cfg : cloud::IoConfig::enumerate_candidates()) {
-    for (double data : {4.0 * MiB, 128.0 * MiB}) {
-      core::Point p = defaults;
-      p = core::ParamSpace::encode(
-          cfg, core::ParamSpace::workload_of(defaults));
-      p[core::kDataSize] = data;
-      p = core::ParamSpace::repaired(p);
-      core::TrainingSample s;
-      s.point = p;
-      const bool good = cfg.fs == cloud::FileSystemType::kPvfs2 &&
-                        cfg.io_servers == 4 &&
-                        cfg.device == storage::DeviceType::kEphemeral;
-      s.baseline_time = 100.0;
-      s.time = good ? 25.0 + (tick % 3) : 110.0 + (tick % 7);
-      s.baseline_cost = 10.0;
-      s.cost = good ? 4.0 : 11.0;
-      db.insert(s);
-      ++tick;
-    }
-  }
-  return db;
-}
-
-core::PbRankingResult synthetic_ranking() {
-  core::PbRankingResult r;
-  for (int d = 0; d < core::kNumDims; ++d) {
-    r.importance.push_back(d);
-    r.rank_of_each.push_back(d + 1);
-    r.effects.push_back(core::kNumDims - d);
-  }
-  return r;
-}
 
 QueryService make_service() {
   return QueryService(synthetic_db(), synthetic_ranking());
@@ -245,9 +206,19 @@ TEST(QueryServiceTest, StatsReportsPerVerbMetrics) {
   EXPECT_GE(train->count, 1u);
 }
 
+/// A stats answer up to its last plugin line: the part the metrics
+/// block after it (which moves with every request) does not touch.
+std::string stats_head(const std::string& stats) {
+  const auto last_plugin = stats.rfind("\n  plugin ");
+  if (last_plugin == std::string::npos) return stats;
+  return stats.substr(0, stats.find('\n', last_plugin + 1) + 1);
+}
+
 // N reader threads hammer handle() with mixed verbs at once: every
-// request must answer cleanly from the shared immutable engine.  Run
-// under the tsan preset in CI.
+// request must answer cleanly from the shared immutable engine, with
+// exactly the answer a single thread gets for the same line (for stats,
+// everything before its metrics block).  Run under the tsan preset in
+// CI.
 TEST(QueryServiceConcurrency, ConcurrentMixedVerbsAnswerCleanly) {
   auto svc = make_service();
   constexpr int kReaders = 8;
@@ -256,9 +227,18 @@ TEST(QueryServiceConcurrency, ConcurrentMixedVerbsAnswerCleanly) {
   const std::vector<std::string> requests = {
       "recommend objective=performance top_k=2 np=64 data=4MiB op=write",
       "predict config=pvfs.4.D.eph.4M np=64 data=128MiB op=write",
-      "rank top=3",
+      "rank top=3 model=yes objective=cost np=32 data=16MiB op=read",
       "stats",
+      "recommend objective=cost top_k=0 fs=pvfs2 chaos=spot-preempt np=128",
+      "predict config=nfs.P.eph.cc1 objective=cost np=32 np=64",
+      "recommend top_k=abc",
   };
+  std::vector<std::string> expected;
+  for (const auto& req : requests) {
+    const auto resp = svc.handle(req);
+    expected.push_back(req == "stats" ? stats_head(resp) : resp);
+  }
+  EXPECT_EQ(expected.back().rfind("error", 0), 0u) << expected.back();
 
   std::atomic<int> failures{0};
   std::atomic<bool> go{false};
@@ -268,9 +248,12 @@ TEST(QueryServiceConcurrency, ConcurrentMixedVerbsAnswerCleanly) {
     readers.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < kRequestsPerReader; ++i) {
-        const auto& req = requests[(t + i) % requests.size()];
-        const auto resp = svc.handle(req);
-        if (resp.rfind("ok", 0) != 0) failures.fetch_add(1);
+        const std::size_t k = (t + i) % requests.size();
+        const auto resp = svc.handle(requests[k]);
+        const auto& want = expected[k];
+        if ((requests[k] == "stats" ? stats_head(resp) : resp) != want) {
+          failures.fetch_add(1);
+        }
       }
     });
   }
