@@ -22,7 +22,6 @@ int main() {
     // The bundled low-variance ensemble, shown alongside the paper's
     // CART (§4.2 invites plugging in other learners).
     core::Acic forest(db, objective, std::string_view("forest"));
-    const bool perf = objective == core::Objective::kPerformance;
 
     TextTable table(
         {"NP", "User", "User3", "Dev", "Dev3", "ACIC", "ACIC(forest)"});

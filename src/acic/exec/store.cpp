@@ -29,15 +29,19 @@ namespace {
 // Row layout.  Doubles are written with %.17g, which round-trips every
 // finite IEEE-754 double exactly — cold and warm results stay
 // bit-identical through the CSV.  The first header cell doubles as the
-// schema version tag (it names the record schema's generation).  Every
-// data row carries one extra framing cell: the 8-hex-digit CRC32C of
-// the payload in front of it.
+// schema version tag (it names the record schema's generation) and the
+// last names the simulation epoch the rows were simulated under; a file
+// that differs in either is sidelined whole.  Every data row carries one
+// extra framing cell: the 8-hex-digit CRC32C of the payload in front of
+// it.
+const std::string kEpochCell =
+    "sim_epoch=" + std::to_string(RunStore::kSimEpoch);
 const std::string kHeader =
     std::string(RunStore::kVersionTag) +
     ",total_time,cost,io_time,num_instances,fs_requests,fs_bytes,"
     "sim_events,outcome,retries,timeouts,failed_requests,stalled_time,"
     "fault_events_cancelled,preemptions,restarts,lost_sim_time,"
-    "checkpoint_bytes,crc32c";
+    "checkpoint_bytes,crc32c," + kEpochCell;
 constexpr std::size_t kColumns = 18;  // payload cells, excluding the frame
 
 std::vector<std::string> split_row(const std::string& line) {
@@ -311,8 +315,9 @@ void RunStore::recover_exclusive() {
   if (adopt_clean_scan(scan)) return;  // someone else repaired already
 
   if (scan.incompatible) {
-    // Different schema generation: sideline the whole file rather than
-    // guess at its row meaning, and start fresh.
+    // Different schema generation or simulation epoch: sideline the
+    // whole file rather than guess at its row meaning (or serve results
+    // of another simulator), and start fresh.
     std::error_code ec;
     std::filesystem::rename(runs_path_, runs_path_ + ".incompatible", ec);
     if (ec) {
@@ -379,7 +384,7 @@ RunStore::ScanResult RunStore::scan_file() const {
     std::string first_line = content.substr(0, header_end);
     if (!first_line.empty() && first_line.back() == '\r') first_line.pop_back();
     const auto header = split_row(first_line);
-    if (header.empty() || header[0] != kVersionTag) {
+    if (header[0] != kVersionTag || header.back() != kEpochCell) {
       scan.incompatible = true;
       return scan;
     }

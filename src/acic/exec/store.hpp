@@ -3,7 +3,8 @@
 // RunKey — crash-safe and shareable between processes.
 //
 // Layout (one directory per store):
-//   runs.csv        — versioned header + one CRC-framed record per run
+//   runs.csv        — header naming the schema and simulation epoch +
+//                     one CRC-framed record per run
 //   runs.csv.tmp    — compaction staging file (atomically renamed over
 //                     runs.csv; a leftover tmp from a crashed compactor
 //                     is inert and overwritten by the next rewrite)
@@ -95,9 +96,9 @@ class RunStore {
  public:
   /// Opens (creating the directory if needed) and loads `dir`/runs.csv,
   /// recovering from torn tails and quarantining corrupt records.  An
-  /// incompatible schema generation sidelines the whole file.  Throws
-  /// acic::Error when the directory, lock file or runs.csv cannot be
-  /// created/read (e.g. a read-only cache directory).
+  /// incompatible schema generation or simulation epoch sidelines the
+  /// whole file.  Throws acic::Error when the directory, lock file or
+  /// runs.csv cannot be created/read (e.g. a read-only cache directory).
   explicit RunStore(std::string dir);
 
   const std::string& dir() const { return dir_; }
@@ -161,6 +162,13 @@ class RunStore {
   /// schema (v2 added the CRC frame cell; v3 the preemption/checkpoint
   /// columns).
   static constexpr const char* kVersionTag = "acic_exec_store_v3";
+  /// Simulation-semantics epoch, recorded as the header's last cell
+  /// (`sim_epoch=N`).  Bump it with any model or solver change that moves
+  /// a simulated result (tests/golden_results.inc pins them under it), so
+  /// rows simulated by other semantics are sidelined instead of answering
+  /// as current.  Epoch 1 (no cell) was the per-flow solver; 2 is the
+  /// path-group solver.
+  static constexpr int kSimEpoch = 2;
   static constexpr const char* kLockFileName = ".store.lock";
 
  private:

@@ -106,6 +106,13 @@ int CartTree::build(const Dataset& data, std::vector<std::size_t>& index,
       sse_here > 0.0;
 
   SplitChoice best;
+  // Candidates are visited by feature index, then ascending threshold, and
+  // a later one replaces the best only if its SSE is lower by more than
+  // this.  Two features that induce one partition from opposite sides get
+  // SSEs that differ only by rounding (the prefix scan accumulates the
+  // other side), so without the margin that noise would pick the split;
+  // with it the earlier candidate keeps the tie.
+  const double tie_margin = 1e-12 * sum_sq;
   if (can_split) {
     const std::size_t features = data.features();
     std::vector<std::pair<double, double>> column(n);  // (x, y)
@@ -133,7 +140,7 @@ int CartTree::build(const Dataset& data, std::vector<std::size_t>& index,
         const double sse_r =
             right_sq - right_sum * right_sum / static_cast<double>(nr);
         const double sse = sse_l + sse_r;
-        if (sse < best.sse) {
+        if (sse < best.sse - tie_margin) {
           // Midpoint of adjacent doubles can round back onto the lower
           // value (or overflow for huge magnitudes), which would make the
           // `x < thr` partition produce an empty left side.  Any thr with

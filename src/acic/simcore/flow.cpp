@@ -82,30 +82,46 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
   const FlowId id = next_flow_id_++;
   bytes_injected_ += bytes;
   if (bytes <= kEpsilonBytes) {
+    record_slot(kNoSlot);  // never enters
     bytes_delivered_ += bytes;
     if (on_complete) sim_.at(sim_.now(), std::move(on_complete));
     return id;
   }
   advance();
-  Flow f;
-  f.id = id;
-  f.remaining = bytes;
-  f.hops = static_cast<std::uint32_t>(path.size());
+  Path padded;
   for (std::size_t h = 0; h < kMaxPathHops; ++h) {
-    f.path[h] = static_cast<std::uint32_t>(path[std::min(h, path.size() - 1)]);
+    padded[h] = static_cast<std::uint32_t>(path[std::min(h, path.size() - 1)]);
   }
-  if (on_complete) {
-    if (free_callbacks_.empty()) {
-      f.callback = static_cast<std::uint32_t>(callbacks_.size());
-      callbacks_.emplace_back();
-    } else {
-      f.callback = free_callbacks_.back();
-      free_callbacks_.pop_back();
+  const std::uint32_t gi =
+      group_for(padded, static_cast<std::uint32_t>(path.size()));
+  Group& g = groups_[gi];
+  if (g.count++ == 0) {
+    g.vtime = 0.0;
+    active_.push_back(gi);
+  }
+  for (std::uint32_t h = 0; h < g.hops; ++h) {
+    Resource& res = resources_[g.path[h]];
+    if (res.crossing++ == 0) {
+      res.in_use_pos = static_cast<std::uint32_t>(in_use_.size());
+      in_use_.push_back(g.path[h]);
     }
-    callbacks_[f.callback] = std::move(on_complete);
   }
-  admit(f);
-  flows_.push_back(f);
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(flows_.size());
+    ACIC_CHECK(slot != kNoSlot, "flow slot arena exhausted");
+    flows_.emplace_back();
+    callbacks_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  flows_[slot] = Flow{g.vtime + bytes, id, gi};
+  callbacks_[slot] = std::move(on_complete);
+  g.tags.push_back(Tag{flows_[slot].finish, id, slot});
+  std::push_heap(g.tags.begin(), g.tags.end(), finishes_later);
+  ++active_count_;
+  record_slot(slot);
   recompute_rates();
   schedule_next_completion();
   return id;
@@ -180,48 +196,79 @@ Task FlowNetwork::transfer_within(std::vector<ResourceId> path, Bytes bytes,
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
-  const std::size_t i = find_flow(id);
+  const std::uint32_t slot = slot_of(id);
   // Already completed (or never admitted, e.g. a zero-byte flow): no-op.
-  if (i == flows_.size()) return;
+  if (slot == kNoSlot) return;
   advance();
-  const Flow f = flows_[i];
-  bytes_cancelled_ += f.remaining;
-  retire(f);
-  if (f.callback != kNoCallback) {
-    callbacks_[f.callback] = nullptr;
-    free_callbacks_.push_back(f.callback);
-  }
-  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(i));
+  const Flow& f = flows_[slot];
+  bytes_cancelled_ += f.finish - groups_[f.group].vtime;
+  retire(slot);
+  free_slot(slot);
   recompute_rates();
   schedule_next_completion();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
-  const std::size_t i = find_flow(id);
-  return i < flows_.size() ? flows_[i].rate : 0.0;
+  const std::uint32_t slot = slot_of(id);
+  return slot == kNoSlot ? 0.0 : groups_[flows_[slot].group].rate;
 }
 
-std::size_t FlowNetwork::find_flow(FlowId id) const {
-  const auto it = std::lower_bound(
-      flows_.begin(), flows_.end(), id,
-      [](const Flow& f, FlowId key) { return f.id < key; });
-  if (it == flows_.end() || it->id != id) return flows_.size();
-  return static_cast<std::size_t>(it - flows_.begin());
-}
-
-void FlowNetwork::admit(const Flow& f) {
-  for (std::uint32_t h = 0; h < f.hops; ++h) {
-    Resource& res = resources_[f.path[h]];
-    if (res.crossing++ == 0) {
-      res.in_use_pos = static_cast<std::uint32_t>(in_use_.size());
-      in_use_.push_back(f.path[h]);
-    }
+void FlowNetwork::record_slot(std::uint32_t slot) {
+  slot_of_.push_back(slot);
+  // Advance past finished ids, then drop the dead prefix once it
+  // dominates the window: amortised O(1) per id.
+  while (window_head_ < slot_of_.size() &&
+         slot_of_[window_head_] == kNoSlot) {
+    ++window_head_;
+  }
+  if (window_head_ >= 64 && window_head_ * 2 >= slot_of_.size()) {
+    slot_of_.erase(slot_of_.begin(),
+                   slot_of_.begin() +
+                       static_cast<std::ptrdiff_t>(window_head_));
+    window_base_ += window_head_;
+    window_head_ = 0;
   }
 }
 
-void FlowNetwork::retire(const Flow& f) {
-  for (std::uint32_t h = 0; h < f.hops; ++h) {
-    Resource& res = resources_[f.path[h]];
+std::uint32_t FlowNetwork::slot_of(FlowId id) const {
+  if (id < window_base_ || id >= next_flow_id_) return kNoSlot;
+  return slot_of_[static_cast<std::size_t>(id - window_base_)];
+}
+
+std::size_t FlowNetwork::PathHash::operator()(const Path& p) const noexcept {
+  const std::uint64_t lo = (std::uint64_t{p[0]} << 32) | p[1];
+  const std::uint64_t hi = (std::uint64_t{p[2]} << 32) | p[3];
+  std::uint64_t h = lo * 0x9e3779b97f4a7c15ULL;
+  h ^= hi + 0x632be59bd9b4e019ULL + (h << 6) + (h >> 2);
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
+std::uint32_t FlowNetwork::group_for(const Path& path, std::uint32_t hops) {
+  const auto [it, fresh] = group_of_.try_emplace(
+      path, static_cast<std::uint32_t>(groups_.size()));
+  if (fresh) {
+    groups_.emplace_back();
+    groups_.back().path = path;
+    groups_.back().hops = hops;
+  }
+  ACIC_DCHECK(groups_[it->second].hops == hops,
+              "padded path of " << hops << " hops names a "
+                                << groups_[it->second].hops << "-hop group");
+  return it->second;
+}
+
+void FlowNetwork::drop_stale_tags(Group& g) {
+  while (flows_[g.tags.front().slot].id != g.tags.front().id) {
+    std::pop_heap(g.tags.begin(), g.tags.end(), finishes_later);
+    g.tags.pop_back();
+  }
+}
+
+void FlowNetwork::retire(std::uint32_t slot) {
+  Flow& f = flows_[slot];
+  Group& g = groups_[f.group];
+  for (std::uint32_t h = 0; h < g.hops; ++h) {
+    Resource& res = resources_[g.path[h]];
     if (--res.crossing == 0) {
       const std::uint32_t last = in_use_.back();
       in_use_[res.in_use_pos] = last;
@@ -229,16 +276,30 @@ void FlowNetwork::retire(const Flow& f) {
       in_use_.pop_back();
     }
   }
+  if (--g.count == 0) {
+    g.tags.clear();  // only stale tags can be left
+    g.rate = 0.0;
+    active_.erase(std::find(active_.begin(), active_.end(), f.group));
+  }
+  slot_of_[static_cast<std::size_t>(f.id - window_base_)] = kNoSlot;
+  f.id = kInvalidFlow;
+  --active_count_;
+}
+
+void FlowNetwork::free_slot(std::uint32_t slot) {
+  callbacks_[slot] = nullptr;
+  free_slots_.push_back(slot);
 }
 
 void FlowNetwork::advance() {
   const SimTime now = sim_.now();
   const SimTime dt = now - last_update_;
   if (dt > 0.0) {
-    for (auto& f : flows_) {
-      const Bytes moved = std::min(f.rate * dt, f.remaining);
-      f.remaining -= moved;
-      bytes_delivered_ += moved;
+    for (std::uint32_t gi : active_) {
+      Group& g = groups_[gi];
+      const Bytes moved = g.rate * dt;
+      g.vtime += moved;
+      bytes_delivered_ += moved * static_cast<double>(g.count);
     }
   }
   last_update_ = now;
@@ -246,35 +307,30 @@ void FlowNetwork::advance() {
 
 void FlowNetwork::recompute_rates() {
   next_eta_ = std::numeric_limits<SimTime>::infinity();
-  const std::size_t nf = flows_.size();
-  if (nf == 0) return;
+  if (active_.empty()) return;
 
   // Progressive filling: repeatedly find the bottleneck resource (the one
   // offering the smallest per-flow fair share among its unfixed flows),
-  // then visit the unfixed flows in admission order, freezing every one
+  // then visit the unfixed groups in activation order, freezing every one
   // that crosses a resource whose share is within kBottleneckSlack of the
-  // bottleneck and deducting its rate from every resource it traverses.
-  // A flow visited later in a round sees the deductions of the flows
-  // frozen before it, so the visiting order is part of the result.
+  // bottleneck.  A frozen group's `count` flows all get the bottleneck
+  // share, so it deducts count x share from the residual of every resource
+  // it crosses and count from their unfixed counts.
   //
   // Only resources crossed by an active flow take part: seeding walks
-  // in_use_, whose crossing counts admit()/retire() keep current, and a
-  // share is recomputed (by the same division) only when a freeze changes
-  // its residual or unfixed count.  A round costs O(resources in use +
-  // kMaxPathHops x unfixed flows), nothing is O(|resources|), and a solve
-  // allocates nothing.
+  // in_use_, whose crossing counts start_flow()/retire() keep current,
+  // and a share is recomputed only when a freeze changes its residual or
+  // unfixed count.  A round costs O(resources in use + kMaxPathHops x
+  // unfixed groups), and a solve allocates nothing.
   for (std::uint32_t r : in_use_) {
     Resource& res = resources_[r];
     res.residual = res.capacity;
     res.unfixed = res.crossing;
     res.share = res.residual / static_cast<double>(res.unfixed);
   }
-  if (unfixed_.size() < nf) unfixed_.resize(nf);
+  unfixed_.assign(active_.begin(), active_.end());
 
-  // Round one visits every flow; later rounds visit only the flows the
-  // previous round left unfixed (unfixed_[0, left), in admission order).
-  std::size_t left = nf;
-  bool first_round = true;
+  std::size_t left = unfixed_.size();
   while (left > 0) {
     double best_share = std::numeric_limits<double>::infinity();
     for (std::uint32_t r : in_use_) {
@@ -286,30 +342,30 @@ void FlowNetwork::recompute_rates() {
     best_share = std::max(best_share, 0.0);
     const double limit = best_share * kBottleneckSlack;
 
-    // Every flow frozen this round gets rate best_share, and division by a
-    // positive rate is monotone, so the round's earliest completion is
-    // (its smallest remaining) / best_share — the same double as the
-    // smallest per-flow remaining / rate.
-    Bytes min_remaining = std::numeric_limits<Bytes>::infinity();
+    // Every group frozen this round gets rate best_share, so the round's
+    // earliest completion is its smallest heap top's bytes left over
+    // best_share.
+    Bytes min_left = std::numeric_limits<Bytes>::infinity();
     std::size_t kept = 0;
     for (std::size_t k = 0; k < left; ++k) {
-      const std::uint32_t i =
-          first_round ? static_cast<std::uint32_t>(k) : unfixed_[k];
-      Flow& f = flows_[i];
+      const std::uint32_t gi = unfixed_[k];
+      Group& g = groups_[gi];
       const auto at_bottleneck = [&](std::uint32_t r) {
         return resources_[r].share <= limit;
       };
-      if (!(at_bottleneck(f.path[0]) | at_bottleneck(f.path[1]) |
-            at_bottleneck(f.path[2]) | at_bottleneck(f.path[3]))) {
-        unfixed_[kept++] = i;
+      if (!(at_bottleneck(g.path[0]) | at_bottleneck(g.path[1]) |
+            at_bottleneck(g.path[2]) | at_bottleneck(g.path[3]))) {
+        unfixed_[kept++] = gi;
         continue;
       }
-      f.rate = best_share;
-      min_remaining = std::min(min_remaining, f.remaining);
-      for (std::uint32_t h = 0; h < f.hops; ++h) {
-        Resource& res = resources_[f.path[h]];
-        res.residual = std::max(0.0, res.residual - best_share);
-        --res.unfixed;
+      g.rate = best_share;
+      drop_stale_tags(g);
+      min_left = std::min(min_left, g.tags.front().finish - g.vtime);
+      const double taken = static_cast<double>(g.count) * best_share;
+      for (std::uint32_t h = 0; h < g.hops; ++h) {
+        Resource& res = resources_[g.path[h]];
+        res.residual = std::max(0.0, res.residual - taken);
+        res.unfixed -= g.count;
         res.share = res.unfixed > 0
                         ? res.residual / static_cast<double>(res.unfixed)
                         : kNaN;
@@ -317,22 +373,17 @@ void FlowNetwork::recompute_rates() {
     }
     if (kept == left) break;  // defensive against FP pathologies
     if (best_share > 0.0) {
-      next_eta_ = std::min(next_eta_, min_remaining / best_share);
+      next_eta_ = std::min(next_eta_, min_left / best_share);
     }
     left = kept;
-    first_round = false;
   }
-  // Flows the solver could not place.
-  if (first_round) {
-    for (auto& f : flows_) f.rate = 0.0;
-  } else {
-    for (std::size_t k = 0; k < left; ++k) flows_[unfixed_[k]].rate = 0.0;
-  }
+  // Groups the solver could not place.
+  for (std::size_t k = 0; k < left; ++k) groups_[unfixed_[k]].rate = 0.0;
 }
 
 void FlowNetwork::schedule_next_completion() {
   ++generation_;
-  if (flows_.empty()) return;
+  if (active_count_ == 0) return;
   const SimTime min_eta = next_eta_;
   if (!std::isfinite(min_eta)) return;  // everything stalled (failure)
   // Always land on a representable instant strictly after `now` so the
@@ -348,33 +399,28 @@ void FlowNetwork::schedule_next_completion() {
 
 void FlowNetwork::handle_completion_event(std::uint64_t generation) {
   if (generation != generation_) return;  // superseded by a newer solve
-  // One pass integrates every flow up to now (exactly as advance() does),
-  // picks out the finished ones and compacts the rest in admission order.
-  const SimTime now = sim_.now();
-  const SimTime dt = now - last_update_;
-  last_update_ = now;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    if (dt > 0.0) {
-      const Bytes moved = std::min(f.rate * dt, f.remaining);
-      f.remaining -= moved;
-      bytes_delivered_ += moved;
-    }
-    if (flow_done(f.remaining, f.rate)) {
-      done_.push_back(f);
-    } else {
-      flows_[kept++] = f;
+  advance();
+  // Within a group every member has the same rate, so the finished ones
+  // are the heap's smallest finish tags.
+  for (std::uint32_t gi : active_) {
+    Group& g = groups_[gi];
+    while (!g.tags.empty()) {
+      const Tag top = g.tags.front();
+      const bool live = flows_[top.slot].id == top.id;
+      if (live && !flow_done(top.finish - g.vtime, g.rate)) break;
+      std::pop_heap(g.tags.begin(), g.tags.end(), finishes_later);
+      g.tags.pop_back();
+      if (live) done_.push_back(top);
     }
   }
-  flows_.resize(kept);
-  // Credit each finished flow's sub-epsilon residue so bytes_delivered()
-  // sums to exactly what was injected (byte conservation) — after every
-  // flow's progress, in admission order, as the sum has always been
-  // formed.
-  for (const Flow& f : done_) {
-    bytes_delivered_ += f.remaining;
-    retire(f);
+  // Retire in admission (id) order, crediting each finished flow's
+  // residue (sub-epsilon left, or the overshoot of its group's clock) so
+  // bytes_delivered() sums to exactly what was injected.
+  std::sort(done_.begin(), done_.end(),
+            [](const Tag& a, const Tag& b) { return a.id < b.id; });
+  for (const Tag& t : done_) {
+    bytes_delivered_ += t.finish - groups_[flows_[t.slot].group].vtime;
+    retire(t.slot);
   }
   ACIC_DCHECK(bytes_conserved(),
               "flow byte conservation violated: injected="
@@ -385,18 +431,19 @@ void FlowNetwork::handle_completion_event(std::uint64_t generation) {
   schedule_next_completion();
   // Callbacks are queued after the new completion event, in admission
   // order.
-  for (const Flow& f : done_) {
-    if (f.callback == kNoCallback) continue;
-    sim_.at(now, std::move(callbacks_[f.callback]));
-    callbacks_[f.callback] = nullptr;
-    free_callbacks_.push_back(f.callback);
+  const SimTime now = sim_.now();
+  for (const Tag& t : done_) {
+    if (callbacks_[t.slot]) sim_.at(now, std::move(callbacks_[t.slot]));
+    free_slot(t.slot);
   }
   done_.clear();
 }
 
 bool FlowNetwork::bytes_conserved() const {
   Bytes in_flight = 0.0;
-  for (const auto& f : flows_) in_flight += f.remaining;
+  for (const Flow& f : flows_) {
+    if (f.id != kInvalidFlow) in_flight += f.finish - groups_[f.group].vtime;
+  }
   const Bytes drift =
       bytes_injected_ - (bytes_delivered_ + bytes_cancelled_ + in_flight);
   // fp noise from rate integration scales with the totals involved.
@@ -407,9 +454,12 @@ bool FlowNetwork::bytes_conserved() const {
 
 bool FlowNetwork::rates_feasible() const {
   std::vector<double> load(resources_.size(), 0.0);
-  for (const auto& f : flows_) {
-    if (f.rate <= 0.0) continue;
-    for (std::uint32_t h = 0; h < f.hops; ++h) load[f.path[h]] += f.rate;
+  for (std::uint32_t gi : active_) {
+    const Group& g = groups_[gi];
+    if (g.rate <= 0.0) continue;
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      load[g.path[h]] += g.rate * static_cast<double>(g.count);
+    }
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     if (load[r] > resources_[r].capacity * (1.0 + 1e-9) + 1e-9) return false;

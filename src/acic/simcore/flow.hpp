@@ -14,15 +14,26 @@
 // instance NIC; EBS volumes hang off the instance NIC instead of a local
 // disk controller.
 //
-// Every simulated result is pinned bit for bit (tests/golden_results.inc),
-// so the solver's floating-point trajectory is part of its contract: each
-// solve performs the same divisions, subtractions and comparisons, in the
-// same order, as a plain progressive-filling loop over all flows in
-// admission order.  The bookkeeping around that loop is incremental —
-// per-resource crossing counts kept on admit/retire, cached per-resource
-// shares, fixed-size inline paths — so a flow start, finish, cancel or
-// capacity change costs one pass over the active flows plus one pass per
-// filling round, with no allocation.
+// Flows that cross the same resources always receive the same max-min
+// rate, so the solver works on path groups rather than flows: one group
+// per distinct path, weighted by its flow count.  Each group runs a
+// processor-sharing virtual clock (`vtime`, the bytes every member has
+// received since the group last became active) and keeps its members'
+// finish tags (`vtime` at start + bytes) in a min-heap, so a flow's bytes
+// left are `finish - vtime`.  Advancing time, a re-solve and finding the
+// next completion therefore cost O(active groups), not O(active flows),
+// and a completion pops heap tops.  No solve allocates.
+//
+// The result is the max-min allocation up to floating-point rounding: a
+// group deducts `count x share` at once where a per-flow loop deducts
+// `share` count times, and bytes left are a difference of two clocks.
+// tests/flow_differential_test.cpp holds the solver to a stated
+// tolerance against a plain per-flow progressive-filling loop (rates
+// within 1e-9 relative, the same completion order wherever the
+// reference's completion times differ by more than that, byte
+// conservation within 1e-9 of the bytes injected).  Simulated results are
+// pinned in tests/golden_results.inc under the run store's simulation
+// epoch (exec::RunStore::kSimEpoch): a change that moves them bumps it.
 #pragma once
 
 #include <array>
@@ -31,7 +42,7 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "acic/common/units.hpp"
@@ -90,9 +101,10 @@ class FlowNetwork {
   /// fires.  Harmless no-op if the flow already finished.
   void cancel_flow(FlowId id);
 
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return active_count_; }
 
-  /// Current allocated rate of an active flow (0 if unknown/finished).
+  /// Current allocated rate of an active flow, which is its path group's
+  /// rate (0 if unknown/finished).
   double flow_rate(FlowId id) const;
 
   /// Cumulative bytes delivered across all completed flows.
@@ -105,22 +117,51 @@ class FlowNetwork {
   Bytes bytes_cancelled() const { return bytes_cancelled_; }
 
  private:
-  /// One active flow.  Trivially copyable, so compacting `flows_` after a
-  /// completion moves 48-byte records, not vectors and std::functions.
-  /// `path` holds the real hops first; a shorter path repeats its last hop
-  /// into the unused entries, which leaves every "does this flow cross a
-  /// bottleneck" test unchanged while letting it read all kMaxPathHops
-  /// entries without a branch on the length.
-  struct Flow {
-    Bytes remaining = 0.0;
-    double rate = 0.0;
-    FlowId id = kInvalidFlow;
-    std::uint32_t callback = kNoCallback;  ///< slot in callbacks_
-    std::uint32_t hops = 0;
-    std::array<std::uint32_t, kMaxPathHops> path{};
+  /// A path padded to kMaxPathHops entries: the real hops first, then the
+  /// last hop repeated, which leaves every "does this path cross a
+  /// bottleneck" test unchanged while letting it read all entries without
+  /// a branch on the length.  Paths are duplicate-free, so the padded
+  /// array also determines the hop count.
+  using Path = std::array<std::uint32_t, kMaxPathHops>;
+  struct PathHash {
+    std::size_t operator()(const Path& p) const noexcept;
   };
-  static constexpr std::uint32_t kNoCallback = 0xffffffffu;
-  static_assert(std::is_trivially_copyable_v<Flow>);
+
+  /// One active flow, in the flows_ slot arena (id kInvalidFlow while the
+  /// slot is free).  Its bytes left are `finish - groups_[group].vtime`.
+  struct Flow {
+    Bytes finish = 0.0;
+    FlowId id = kInvalidFlow;
+    std::uint32_t group = 0;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// A finish tag in a group's heap.  A cancelled flow's tag stays behind
+  /// as stale (its slot no longer holds `id`): it is skipped when it
+  /// reaches the top and dropped when the group empties.
+  struct Tag {
+    Bytes finish = 0.0;
+    FlowId id = kInvalidFlow;
+    std::uint32_t slot = kNoSlot;
+  };
+  /// Heap order: std::push_heap/pop_heap keep the tag that finishes first
+  /// (the lower id on a tie) on top.
+  static bool finishes_later(const Tag& a, const Tag& b) {
+    return a.finish != b.finish ? a.finish > b.finish : a.id > b.id;
+  }
+
+  /// All flows over one path.  Created on first use and kept for the
+  /// network's lifetime; active while `count` > 0.
+  struct Group {
+    Path path{};
+    std::uint32_t hops = 0;
+    std::uint32_t count = 0;  ///< active flows
+    double rate = 0.0;        ///< every member's rate, as of the last solve
+    /// Bytes each member has received since the group became active; reset
+    /// to 0 on reactivation so `finish - vtime` stays precise.
+    Bytes vtime = 0.0;
+    std::vector<Tag> tags;  ///< min-heap on (finish, id)
+  };
 
   struct Resource {
     std::string name;
@@ -138,14 +179,26 @@ class FlowNetwork {
     double share = 0.0;
   };
 
-  /// Integrate progress of all flows up to sim_.now().
+  /// Integrate every active group's clock up to sim_.now().
   void advance();
-  /// Re-solve max-min fair sharing (progressive filling) and record the
-  /// earliest completion time in next_eta_.
+  /// Re-solve max-min fair sharing (progressive filling over groups) and
+  /// record the earliest completion time in next_eta_.
   void recompute_rates();
-  /// Count `f` against (or release it from) every resource it crosses.
-  void admit(const Flow& f);
-  void retire(const Flow& f);
+  /// The group of `path`, created on first use.
+  std::uint32_t group_for(const Path& path, std::uint32_t hops);
+  /// Drop stale tags off the top of an active group's heap.
+  void drop_stale_tags(Group& g);
+  /// Release the active flow in `slot` from its group, the resources it
+  /// crosses and the id window (the slot and its callback stay for the
+  /// caller to free).
+  void retire(std::uint32_t slot);
+  /// Drop a retired slot's callback and return the slot for reuse.
+  void free_slot(std::uint32_t slot);
+  /// Enter the slot of the id just issued (kNoSlot for a flow that never
+  /// becomes active) into the id window.
+  void record_slot(std::uint32_t slot);
+  /// Slot of the active flow `id`, or kNoSlot.
+  std::uint32_t slot_of(FlowId id) const;
   /// Byte conservation: injected == delivered + cancelled + in-flight
   /// (within fp noise).  Backs an ACIC_DCHECK after every completion
   /// sweep.
@@ -155,28 +208,34 @@ class FlowNetwork {
   /// (Re)arm the single pending completion event.
   void schedule_next_completion();
   void handle_completion_event(std::uint64_t generation);
-  /// Index in flows_ of the active flow `id`, or flows_.size().
-  std::size_t find_flow(FlowId id) const;
 
   Simulator& sim_;
   std::vector<Resource> resources_;
   /// Resources crossed by at least one active flow, in no particular
   /// order (the bottleneck search takes a minimum over them).
   std::vector<std::uint32_t> in_use_;
-  /// Active flows in admission order, which is id order.  Both the
-  /// freeze order of a filling round and the order of completion
-  /// callbacks follow it, so removal always preserves it.
+  std::vector<Group> groups_;
+  std::unordered_map<Path, std::uint32_t, PathHash> group_of_;
+  /// Groups with at least one active flow, in activation order: the
+  /// freeze order of a filling round.
+  std::vector<std::uint32_t> active_;
+  /// Flow slot arena and the on_complete callbacks, by slot.
   std::vector<Flow> flows_;
-  /// on_complete callbacks of active flows, by Flow::callback slot.
   std::vector<std::function<void()>> callbacks_;
-  std::vector<std::uint32_t> free_callbacks_;
-  /// Per-solve scratch, kept to avoid allocating: indices of the flows a
-  /// filling round left unfixed, and the flows one completion sweep
-  /// retires.
+  std::vector<std::uint32_t> free_slots_;
+  /// Id -> slot window: ids are issued densely, so slot_of_[id -
+  /// window_base_] resolves one (kNoSlot once it finished, was cancelled
+  /// or never entered); the dead prefix is trimmed as ids are issued.
+  std::vector<std::uint32_t> slot_of_;
+  FlowId window_base_ = 1;
+  std::size_t window_head_ = 0;
+  /// Per-solve work buffers, kept to avoid allocating: the groups a filling
+  /// round left unfixed, and the tags one completion sweep retires.
   std::vector<std::uint32_t> unfixed_;
-  std::vector<Flow> done_;
-  /// Earliest remaining / rate over flows with a positive rate, as of the
-  /// last solve (infinity when every flow is stalled).
+  std::vector<Tag> done_;
+  std::size_t active_count_ = 0;
+  /// Earliest bytes-left / rate over groups with a positive rate, as of
+  /// the last solve (infinity when every flow is stalled).
   SimTime next_eta_ = std::numeric_limits<SimTime>::infinity();
   SimTime last_update_ = 0.0;
   std::uint64_t generation_ = 0;

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -502,6 +504,51 @@ TEST(RunStoreTest, IncompatibleSchemaIsSidelinedWhole) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.quarantined(), 0u);
   EXPECT_TRUE(std::filesystem::exists(dir.path / "runs.csv.incompatible"));
+}
+
+// A store whose rows were simulated under another simulation epoch —
+// the previous header, which had no epoch cell, or another epoch number —
+// is sidelined whole on open, and its runs simulate afresh.
+TEST(RunStoreTest, StoreOfAnotherSimEpochIsSidelinedAndReSimulated) {
+  const std::string epoch_cell =
+      ",sim_epoch=" + std::to_string(exec::RunStore::kSimEpoch);
+  for (const char* other : {"", ",sim_epoch=1"}) {
+    SCOPED_TRACE(std::string("header epoch cell '") + other + "'");
+    TempDir dir("epoch");
+    const exec::RunRequest req{test_workload(), cloud::IoConfig::baseline(),
+                               io::RunOptions{}};
+    {
+      FakeEngine writer(dir.str());
+      writer.executor.run(req);
+      EXPECT_EQ(writer.executions.load(), 1);
+    }
+    std::string content;
+    {
+      std::ifstream in(dir.path / "runs.csv", std::ios::binary);
+      content.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const auto header_end = content.find('\n');
+    ASSERT_NE(header_end, std::string::npos);
+    ASSERT_GE(header_end, epoch_cell.size());
+    const auto cell_at = header_end - epoch_cell.size();
+    ASSERT_EQ(content.substr(cell_at, epoch_cell.size()), epoch_cell);
+    content.replace(cell_at, epoch_cell.size(), other);
+    {
+      std::ofstream out(dir.path / "runs.csv",
+                        std::ios::binary | std::ios::trunc);
+      out << content;
+    }
+
+    FakeEngine reader(dir.str());
+    exec::RunInfo info;
+    reader.executor.run(req, &info);
+    EXPECT_EQ(info.source, exec::RunSource::kExecuted);
+    EXPECT_EQ(reader.executions.load(), 1);
+    EXPECT_TRUE(std::filesystem::exists(dir.path / "runs.csv.incompatible"));
+    // The fresh file carries the current epoch and the re-simulated row.
+    exec::RunStore reopened(dir.str());
+    EXPECT_EQ(reopened.size(), 1u);
+  }
 }
 
 // --------------------------------------------------------------------

@@ -1,12 +1,15 @@
 // Golden simulated results: seeded io::run_workload calls whose RunResult
-// fields are pinned bit for bit in golden_results.inc.  DeterminismTest
-// only checks run-twice equality inside one process, and the golden
-// RunKeys hash inputs only, so this is the test that notices when a
-// model or solver change moves a simulated answer by one ULP.
+// fields are pinned bit for bit in golden_results.inc, under the run
+// store's simulation epoch.  DeterminismTest only checks run-twice
+// equality inside one process, and the golden RunKeys hash inputs only,
+// so this is the test that notices when a model or solver change moves a
+// simulated answer by one ULP.
 //
 // On drift the failure names each field that moved (expected vs got, in
 // IEEE hex and decimal) and prints the run's current row in .inc syntax.
-// A deliberate semantics change regenerates the file from those rows.
+// A deliberate semantics change bumps exec::RunStore::kSimEpoch, so that
+// persisted runs of the old semantics are sidelined, and regenerates the
+// file under the new epoch from those rows.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,6 +23,7 @@
 
 #include "acic/apps/apps.hpp"
 #include "acic/cloud/ioconfig.hpp"
+#include "acic/exec/store.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
 #include "acic/plugin/substrates.hpp"
@@ -46,9 +50,8 @@ struct GoldenResult {
   std::uint64_t restarts;
 };
 
-constexpr GoldenResult kGoldenResults[] = {
+// Defines kGoldenSimEpoch and kGoldenResults.
 #include "golden_results.inc"
-};
 
 struct GoldenCase {
   std::string run;
@@ -252,6 +255,13 @@ TEST(GoldenResults, SeededRunsAreBitStable) {
     EXPECT_TRUE(diff.empty()) << c.run << " drifted:\n"
                               << diff << "  current: " << inc_row(c.run, r);
   }
+}
+
+// The rows were simulated under one simulation epoch.  Regenerating
+// them names the new epoch in the .inc, which fails here until
+// RunStore::kSimEpoch is bumped to match: rows move only with an epoch.
+TEST(GoldenResults, PinnedUnderTheCurrentEpoch) {
+  EXPECT_EQ(kGoldenSimEpoch, exec::RunStore::kSimEpoch);
 }
 
 }  // namespace

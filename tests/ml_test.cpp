@@ -250,6 +250,30 @@ TEST(CartTest, AdjacentDoubleThresholdDoesNotCrash) {
   EXPECT_DOUBLE_EQ(tree.predict(std::vector<double>{hi}), 1.0);
 }
 
+// Two features that induce the same partition from opposite sides (x1 =
+// 1 - x0) have the same true SSE, but the prefix scan accumulates the
+// left side of each, so the two computed SSEs differ in their last bits
+// and, without a tie rule, the rounding picks the split.  Such a tie
+// must go to the earlier candidate, the lower feature index, on every
+// label draw.
+TEST(CartTest, AliasedFeaturesTieToTheLowerIndex) {
+  CartParams params;
+  params.max_depth = 1;
+  params.min_samples_leaf = 1;
+  params.prune_holdout = 0;
+  Rng rng(41);
+  for (int draw = 0; draw < 200; ++draw) {
+    Dataset d;
+    const std::size_t n = 4 + rng.uniform_index(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i % 2);
+      d.add({x, 1.0 - x}, 4.0 * x + rng.uniform(1.0, 3.0));
+    }
+    const auto counts = CartTree::train(d, params).split_counts(2);
+    EXPECT_EQ(counts, (std::vector<int>{1, 0})) << "label draw " << draw;
+  }
+}
+
 TEST(CartTest, TrainOnRowsFullViewMatchesTrain) {
   const auto data = step_function_data(200, 21, /*noise=*/0.5);
   std::vector<std::size_t> all(data.rows());
