@@ -1,10 +1,12 @@
-// Ablation benches for the substrate design choices DESIGN.md calls out:
+// Ablation benches for the substrate design choices DESIGN.md calls out,
+// and the one caller that varies FsTuning's two cost fields:
 //
 //  (a) the NFS server write-back cache — disabling it should erase NFS's
 //      edge on bursty checkpoint writers (the mechanism behind the
 //      paper's NFS-optimal cells in Table 4);
-//  (b) PVFS2's per-stripe CPU cost — zeroing it should collapse the
-//      64 KiB vs 4 MiB stripe-size distinction for large transfers;
+//  (b) the striped systems' per-stripe CPU cost — zeroing it leaves the
+//      64 KiB vs 4 MiB stripe-size gap unchanged, so that gap is a
+//      per-operation fan-out effect, not a CPU-cost artifact;
 //  (c) multi-tenant jitter — the configuration *ranking* should be
 //      stable across jitter seeds (otherwise ACIC would be learning
 //      noise).

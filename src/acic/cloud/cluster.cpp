@@ -9,7 +9,13 @@
 namespace acic::cloud {
 
 namespace {
+
 int div_ceil(int a, int b) { return (a + b - 1) / b; }
+
+/// Fraction of an instance's compute throughput consumed by a
+/// co-located (part-time) I/O server daemon.
+constexpr double kPartTimeComputeTax = 0.12;
+
 }  // namespace
 
 ClusterModel::ClusterModel(sim::Simulator& sim, Options options)
@@ -175,7 +181,7 @@ SimTime ClusterModel::compute_time(double work, int rank) const {
   const int inst = instance_of_rank(rank);
   double slowdown = 1.0;
   if (hosts_part_time_server_[static_cast<std::size_t>(inst)]) {
-    slowdown += options_.part_time_compute_tax;
+    slowdown += kPartTimeComputeTax;
   }
   return work / spec_.core_speed * slowdown;
 }

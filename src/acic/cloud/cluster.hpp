@@ -37,9 +37,6 @@ class ClusterModel {
     /// Log-normal sigma for multi-tenant capacity jitter (0 = exact).
     double jitter_sigma = 0.06;
     std::uint64_t seed = 1;
-    /// Fraction of an instance's compute throughput consumed by a
-    /// co-located (part-time) I/O server daemon.
-    double part_time_compute_tax = 0.12;
   };
 
   ClusterModel(sim::Simulator& sim, Options options);

@@ -35,15 +35,16 @@ bool FaultModel::valid() const {
       outages_per_hour <= 0.0) {
     return false;
   }
-  return outages_per_hour >= 0.0 && brownouts_per_hour >= 0.0 &&
-         stragglers_per_hour >= 0.0 && brownout_fraction >= 0.0 &&
-         brownout_fraction < 1.0 && straggler_factor > 0.0 &&
-         straggler_factor < 1.0 && correlated_outage_probability >= 0.0 &&
+  for (const double rate : {outages_per_hour, brownouts_per_hour,
+                            stragglers_per_hour, preemptions_per_hour}) {
+    if (!(rate >= 0.0 && rate <= kMaxPerHour)) return false;
+  }
+  return brownout_fraction >= 0.0 && brownout_fraction < 1.0 &&
+         straggler_factor > 0.0 && straggler_factor < 1.0 &&
+         correlated_outage_probability >= 0.0 &&
          correlated_outage_probability <= 1.0 &&
          permanent_loss_probability >= 0.0 &&
-         permanent_loss_probability <= 1.0 && min_duration > 0.0 &&
-         max_duration >= min_duration && preemptions_per_hour >= 0.0 &&
-         preemption_notice >= 0.0;
+         permanent_loss_probability <= 1.0 && preemption_notice >= 0.0;
 }
 
 FailureInjector::~FailureInjector() {
@@ -184,9 +185,12 @@ void FailureInjector::inject_random(Rng& rng, const FaultModel& model,
     }
   };
 
+  const auto window = [&rng] {
+    return rng.uniform(FaultModel::kMinDuration, FaultModel::kMaxDuration);
+  };
+
   schedule_stream(model.outages_per_hour, [&](SimTime t) {
-    const SimTime duration =
-        rng.uniform(model.min_duration, model.max_duration);
+    const SimTime duration = window();
     const bool hit_nic = rng.uniform() < 0.5;
     if (model.correlated_outage_probability > 0.0 &&
         rng.uniform() < model.correlated_outage_probability) {
@@ -208,7 +212,7 @@ void FailureInjector::inject_random(Rng& rng, const FaultModel& model,
   schedule_stream(model.brownouts_per_hour, [&](SimTime t) {
     FaultSpec spec;
     spec.kind = FaultKind::kBrownout;
-    spec.duration = rng.uniform(model.min_duration, model.max_duration);
+    spec.duration = window();
     spec.hit_nic = rng.uniform() < 0.5;
     spec.server = static_cast<int>(rng.uniform_index(servers));
     spec.at = t;
@@ -221,8 +225,7 @@ void FailureInjector::inject_random(Rng& rng, const FaultModel& model,
     spec.kind = FaultKind::kStraggler;
     // Slow disks linger: straggler windows are drawn from a 4x-stretched
     // range so they dominate a request's lifetime instead of flickering.
-    spec.duration =
-        rng.uniform(model.min_duration, model.max_duration) * 4.0;
+    spec.duration = window() * 4.0;
     spec.server = static_cast<int>(rng.uniform_index(servers));
     spec.at = t;
     spec.fraction = model.straggler_factor;

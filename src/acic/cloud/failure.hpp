@@ -70,6 +70,14 @@ struct FaultSpec {
 /// mean events/hour (exponential inter-arrival); `any()` is false for the
 /// all-zero default, which keeps reliable runs injector-free.
 struct FaultModel {
+  /// Outage and brownout windows are drawn uniformly from these bounds
+  /// (straggler windows from 4x them).
+  static constexpr SimTime kMinDuration = 5.0;
+  static constexpr SimTime kMaxDuration = 30.0;
+  /// Ceiling on each rate: the runner schedules every fault of its 24 h
+  /// horizon before simulating, so a run's setup cost grows with it.
+  static constexpr double kMaxPerHour = 3600.0;
+
   double outages_per_hour = 0.0;
   double brownouts_per_hour = 0.0;
   double brownout_fraction = 0.2;
@@ -80,8 +88,6 @@ struct FaultModel {
   double correlated_outage_probability = 0.0;
   /// Probability that a scheduled outage is a permanent server loss.
   double permanent_loss_probability = 0.0;
-  SimTime min_duration = 5.0;
-  SimTime max_duration = 30.0;
   /// Spot-instance reclamations per *server*-hour (each I/O server is an
   /// independent spot instance, so a config's exposure scales with its
   /// server count).

@@ -12,12 +12,10 @@ bool IoConfig::valid() const {
   const auto& substrate = plugin::filesystem_for(fs);
   if (substrate.single_server && io_servers != 1) return false;
   if (!substrate.single_server && stripe_size <= 0.0) return false;
-  if (raid_members < 0) return false;
   return true;
 }
 
 int IoConfig::effective_raid_members() const {
-  if (raid_members > 0) return raid_members;
   switch (device) {
     case storage::DeviceType::kEphemeral:
       return instance_spec(instance).ephemeral_disks;
@@ -63,7 +61,6 @@ IoConfig IoConfig::baseline() {
   c.io_servers = 1;
   c.placement = Placement::kDedicated;
   c.stripe_size = 0.0;
-  c.raid_members = 0;  // EBS default resolves to the two-volume RAID-0
   return c;
 }
 

@@ -34,15 +34,13 @@ struct IoConfig {
   Placement placement = Placement::kDedicated;
   /// PVFS2 stripe size; ignored (and normalised to 0) for NFS.
   Bytes stripe_size = 4.0 * MiB;
-  /// RAID-0 member count per server; 0 selects the platform default
-  /// (all local disks for ephemeral/SSD, two volumes for EBS).
-  int raid_members = 0;
 
   /// Validity rules from the paper: NFS has exactly one server and no
   /// stripe size; PVFS2 needs >= 1 server and a positive stripe size.
   bool valid() const;
 
-  /// Effective RAID member count given the instance type.
+  /// RAID-0 member count per server, derived from device and instance:
+  /// all local disks for ephemeral, two volumes for EBS and SSD.
   int effective_raid_members() const;
 
   /// Paper-style short label, e.g. "pvfs.4.D.eph" / "nfs.P.ebs".

@@ -14,10 +14,10 @@ Money DetailedPricing::ebs_surcharge(const ClusterModel& cluster,
       static_cast<double>(cfg.effective_raid_members());
   const double volume_hours = volumes * duration / kHour;
   const Money capacity_charge = volume_hours *
-                                (ebs_volume_size / GiB) * ebs_gb_month /
-                                hours_per_month;
+                                (kEbsVolumeSize / GiB) * kEbsGbMonth /
+                                kHoursPerMonth;
   const Money io_charge = static_cast<double>(io_operations) / 1e6 *
-                          ebs_per_million_ios;
+                          kEbsPerMillionIos;
   return capacity_charge + io_charge;
 }
 

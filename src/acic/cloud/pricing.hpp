@@ -16,12 +16,12 @@ namespace acic::cloud {
 
 struct DetailedPricing {
   /// 2013 EBS standard-volume rates.
-  Money ebs_gb_month = 0.10;
-  Money ebs_per_million_ios = 0.10;
+  static constexpr Money kEbsGbMonth = 0.10;
+  static constexpr Money kEbsPerMillionIos = 0.10;
   /// Provisioned size per RAID member volume.
-  Bytes ebs_volume_size = 200.0 * GiB;
+  static constexpr Bytes kEbsVolumeSize = 200.0 * GiB;
   /// Hours per billing month (AWS convention).
-  double hours_per_month = 720.0;
+  static constexpr double kHoursPerMonth = 720.0;
 
   /// Eq. (1) instance bill plus, for EBS-backed clusters, volume-hour
   /// and per-I/O charges.  `io_operations` is the device-level request

@@ -101,9 +101,8 @@ double mad_of(const std::vector<double>& samples) {
   return median_of(deviations);
 }
 
-OutlierFilter reject_outliers(const std::vector<double>& samples,
-                              double threshold) {
-  ACIC_CHECK(threshold > 0.0);
+OutlierFilter reject_outliers(const std::vector<double>& samples) {
+  constexpr double kThreshold = 3.5;  // the customary modified-z cut
   OutlierFilter filter;
   filter.keep.assign(samples.size(), true);
   const double mad = mad_of(samples);
@@ -111,7 +110,7 @@ OutlierFilter reject_outliers(const std::vector<double>& samples,
   const double med = median_of(samples);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const double score = 0.6745 * std::abs(samples[i] - med) / mad;
-    if (score > threshold) {
+    if (score > kThreshold) {
       filter.keep[i] = false;
       ++filter.rejected;
     }

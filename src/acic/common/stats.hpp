@@ -65,13 +65,12 @@ double mad_of(const std::vector<double>& samples);
 
 /// Robust outlier rejection via the modified z-score
 /// (0.6745 * |x - median| / MAD, Iglewicz–Hoaglin).  keep[i] is false
-/// for samples whose score exceeds `threshold` (3.5 is the customary
-/// cut).  A zero MAD (e.g. identical repeats) keeps everything.
+/// for samples whose score exceeds the customary 3.5 cut.  A zero MAD
+/// (e.g. identical repeats) keeps everything.
 struct OutlierFilter {
   std::vector<bool> keep;
   std::size_t rejected = 0;
 };
-OutlierFilter reject_outliers(const std::vector<double>& samples,
-                              double threshold = 3.5);
+OutlierFilter reject_outliers(const std::vector<double>& samples);
 
 }  // namespace acic

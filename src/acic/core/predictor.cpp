@@ -7,12 +7,16 @@
 #include "acic/common/error.hpp"
 #include "acic/core/candidate_grid.hpp"
 #include "acic/core/paramspace.hpp"
+#include "acic/io/checkpoint.hpp"
 #include "acic/plugin/substrates.hpp"
 #include "acic/storage/device.hpp"
 
 namespace acic::core {
 
 namespace {
+
+/// Replacement acquisition + rebind cost per restart, seconds.
+constexpr SimTime kRestartOverhead = 120.0;
 
 /// Aggregate streaming bandwidth of the config's I/O tier, bytes/s
 /// (RAID-0 set per server, NIC-capped for network-attached devices).
@@ -190,7 +194,8 @@ double expected_preemption_slowdown(const cloud::IoConfig& config,
                         static_cast<double>(config.io_servers) / kHour;
   double dump_time = 0.0;
   double restore_time = 0.0;
-  double tau = std::max(model.checkpoint_interval, 1.0);
+  double tau =
+      std::max(model.checkpoint_interval, io::CheckpointPolicy::kMinInterval);
   if (model.checkpoint_bytes > 0.0) {
     dump_time =
         model.checkpoint_bytes / aggregate_io_bandwidth(config, true);
@@ -203,7 +208,7 @@ double expected_preemption_slowdown(const cloud::IoConfig& config,
     // length.
     tau = kHour;
   }
-  const double recovery = model.restart_overhead + restore_time;
+  const double recovery = kRestartOverhead + restore_time;
   return (1.0 + dump_time / tau) * (1.0 + lambda * (tau / 2.0 + recovery));
 }
 

@@ -43,8 +43,6 @@ struct PreemptionModel {
   /// Checkpoint cadence and dump size the job will run with.
   SimTime checkpoint_interval = 600.0;
   Bytes checkpoint_bytes = 0.0;
-  /// Replacement acquisition + rebind cost per restart, seconds.
-  SimTime restart_overhead = 120.0;
   /// Billing terms for the cost objective.
   cloud::SpotPricing spot;
 
@@ -55,9 +53,10 @@ struct PreemptionModel {
 /// preemption model: (1 + delta/tau) * (1 + lambda * (tau/2 + R)) with
 /// delta the dump-write time through the config's aggregate storage
 /// bandwidth, tau the checkpoint interval, lambda the whole-cluster
-/// reclaim rate and R the restart overhead plus the restore read.  With
-/// checkpointing off the replay term uses a pessimistic one-hour mean
-/// (lost work since t=0 grows with elapsed runtime).
+/// reclaim rate and R a fixed 120 s replacement acquisition and rebind
+/// plus the restore read.  With checkpointing off the replay term uses a
+/// pessimistic one-hour mean (lost work since t=0 grows with elapsed
+/// runtime).
 double expected_preemption_slowdown(const cloud::IoConfig& config,
                                     const PreemptionModel& model);
 

@@ -38,12 +38,9 @@ PbRankingResult run_pb_ranking(const PbRankingOptions& options) {
       [&](std::size_t i) {
         io::RunOptions opts;
         opts.seed = options.seed ^ (0x9b97f4a7ULL + i);
-        opts.jitter_sigma = options.jitter_sigma;
         const auto r = ior::run_ior(ParamSpace::workload_of(points[i]),
                                     ParamSpace::config_of(points[i]), opts);
-        result.response[i] = options.objective == Objective::kPerformance
-                                 ? r.total_time
-                                 : r.cost;
+        result.response[i] = r.total_time;
         MutexLock lock(&stats_mutex);
         ++result.stats.runs;
         result.stats.simulated_hours += r.total_time / kHour;
@@ -51,10 +48,12 @@ PbRankingResult run_pb_ranking(const PbRankingOptions& options) {
       },
       options.threads);
 
+  // Effects on log(response): the PB rows span three orders of magnitude
+  // in I/O volume, so raw-scale effects are dominated by the volume
+  // dimensions; the log transform measures multiplicative impact and
+  // lets configuration dimensions register.
   std::vector<double> screening = result.response;
-  if (options.log_response) {
-    for (double& r : screening) r = std::log(std::max(r, 1e-9));
-  }
+  for (double& r : screening) r = std::log(std::max(r, 1e-9));
   result.effects = PbDesign::effects(result.design, screening, kNumDims);
   result.importance = PbDesign::ranking(result.effects);
   result.rank_of_each = PbDesign::rank_of_each(result.effects);

@@ -19,7 +19,7 @@ namespace acic::core {
 
 struct PbRankingResult {
   PbMatrix design;                ///< the 32 foldover rows actually run
-  std::vector<double> response;   ///< measured objective per run
+  std::vector<double> response;   ///< measured run time per run, s
   std::vector<double> effects;    ///< per-dimension PB effects
   std::vector<int> importance;    ///< dimension indices, most important first
   std::vector<int> rank_of_each;  ///< 1-based rank per dimension
@@ -27,19 +27,13 @@ struct PbRankingResult {
 };
 
 struct PbRankingOptions {
-  Objective objective = Objective::kPerformance;
   std::uint64_t seed = 1;
-  double jitter_sigma = 0.06;
   unsigned threads = 0;
-  /// Compute effects on log(response).  The PB rows span three orders of
-  /// magnitude in I/O volume, so raw-scale effects are dominated by the
-  /// volume dimensions; the log transform measures multiplicative impact
-  /// and lets configuration dimensions register.
-  bool log_response = true;
 };
 
 /// Execute the 32-run foldover screening with IOR on the simulated cloud
-/// and rank all 15 dimensions.
+/// (io::RunOptions' default jitter) and rank all 15 dimensions by their
+/// effect on log(run time).
 PbRankingResult run_pb_ranking(const PbRankingOptions& options = {});
 
 /// Model-side importance of one system dimension for a specific

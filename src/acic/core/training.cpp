@@ -235,7 +235,6 @@ Measurement measure_point(const io::Workload& workload,
       opts.seed = base_seed ^
                   (static_cast<std::uint64_t>(k) * 0x7f4a7c15ULL) ^
                   (static_cast<std::uint64_t>(a) * 0xc2b2ae35ULL);
-      opts.jitter_sigma = plan.jitter_sigma;
       opts.fault_model = res.fault_model;
       opts.tuning.retry = res.retry;
       opts.watchdog_sim_time = res.watchdog_sim_time;
@@ -260,7 +259,8 @@ Measurement measure_point(const io::Workload& workload,
   }
   if (times.empty()) return m;  // ok stays false: quarantine
 
-  const auto filter = reject_outliers(times, res.outlier_mad_threshold);
+  // A brownout-corrupted repeat cannot poison the CART label.
+  const auto filter = reject_outliers(times);
   std::vector<double> kept_times;
   std::vector<double> kept_costs;
   for (std::size_t i = 0; i < times.size(); ++i) {
@@ -287,8 +287,8 @@ TrainingStats collect_training_data(TrainingDatabase& db,
   ACIC_CHECK(plan.top_dims >= 1 &&
              plan.top_dims <= static_cast<int>(plan.dim_order.size()));
 
-  const std::vector<int> explored = explored_dims(
-      plan.dim_order, plan.top_dims, plan.always_explore_system_dims);
+  const std::vector<int> explored =
+      explored_dims(plan.dim_order, plan.top_dims);
 
   // Enumerate (or sub-sample) the cartesian product of explored dims.
   const auto* overrides =
@@ -436,25 +436,20 @@ TrainingStats collect_training_data(TrainingDatabase& db,
 }
 
 std::vector<int> explored_dims(const std::vector<int>& dim_order,
-                               int top_dims,
-                               bool always_explore_system_dims) {
+                               int top_dims) {
   ACIC_CHECK(top_dims >= 1 &&
              top_dims <= static_cast<int>(dim_order.size()));
   std::vector<int> explored;
-  if (always_explore_system_dims) {
-    for (const auto& d : ParamSpace::dimensions()) {
-      if (d.is_system) explored.push_back(d.dim);
+  for (const auto& d : ParamSpace::dimensions()) {
+    if (d.is_system) explored.push_back(d.dim);
+  }
+  ACIC_CHECK_MSG(top_dims >= static_cast<int>(explored.size()),
+                 "top_dims must cover at least the system dimensions");
+  for (int d : dim_order) {
+    if (static_cast<int>(explored.size()) >= top_dims) break;
+    if (std::find(explored.begin(), explored.end(), d) == explored.end()) {
+      explored.push_back(d);
     }
-    ACIC_CHECK_MSG(top_dims >= static_cast<int>(explored.size()),
-                   "top_dims must cover at least the system dimensions");
-    for (int d : dim_order) {
-      if (static_cast<int>(explored.size()) >= top_dims) break;
-      if (std::find(explored.begin(), explored.end(), d) == explored.end()) {
-        explored.push_back(d);
-      }
-    }
-  } else {
-    explored.assign(dim_order.begin(), dim_order.begin() + top_dims);
   }
   return explored;
 }

@@ -88,9 +88,6 @@ struct SweepResilience {
   int repeats = 1;
   /// Attempts per measurement before it is written off as failed.
   int max_attempts = 1;
-  /// Modified-z-score cut for MAD-based outlier rejection across the
-  /// repeats (a brownout-corrupted repeat cannot poison the CART label).
-  double outlier_mad_threshold = 3.5;
   /// Faults injected into every measurement run (chaos training).
   cloud::FaultModel fault_model;
   /// Client-side deadline/retry reaction passed to the runs.
@@ -99,18 +96,16 @@ struct SweepResilience {
   SimTime watchdog_sim_time = 0.0;
 };
 
-/// How to sample the space when bootstrapping the database.
+/// How to sample the space when bootstrapping the database.  Every run
+/// uses io::RunOptions' default jitter.
 struct TrainingPlan {
   /// Explore `top_dims` dimensions in total; the rest stay at their
-  /// defaults.  With `always_explore_system_dims` (default), the six
-  /// system dimensions are always in the explored set — a recommender
-  /// can only rank configuration knobs it has actually varied — and the
-  /// PB ranking in `dim_order` selects which workload dimensions join
-  /// them.  Setting the flag false follows the paper's literal
-  /// top-k-of-the-full-ranking protocol.
+  /// defaults.  The six system dimensions are always in the explored
+  /// set — a recommender can only rank configuration knobs it has
+  /// actually varied — and the PB ranking in `dim_order` selects which
+  /// workload dimensions join them.
   std::vector<int> dim_order;
   int top_dims = 10;
-  bool always_explore_system_dims = true;
   /// Expandability hook: replacement sampled-value sets per dimension
   /// (e.g. device {EBS, ephemeral, SSD} after a platform upgrade).  New
   /// values extend the database without invalidating collected data.
@@ -119,7 +114,6 @@ struct TrainingPlan {
   /// explored dimensions is sub-sampled uniformly when larger.
   std::size_t max_samples = 500;
   std::uint64_t seed = 1;
-  double jitter_sigma = 0.06;
   /// Host threads for the independent simulations (0 = hardware).
   unsigned threads = 0;
   /// Fault tolerance for the measurement runs (defaults = legacy
@@ -153,10 +147,10 @@ Point default_point();
 TrainingStats collect_training_data(TrainingDatabase& db,
                                     const TrainingPlan& plan);
 
-/// The dimensions a TrainingPlan with these settings explores.
+/// The dimensions a TrainingPlan with these settings explores: the six
+/// system dimensions, then `dim_order`'s first others up to `top_dims`.
 std::vector<int> explored_dims(const std::vector<int>& dim_order,
-                               int top_dims,
-                               bool always_explore_system_dims = true);
+                               int top_dims);
 
 /// Size of the full cartesian product over the explored dimensions
 /// (Fig. 8's exponential x-axis).

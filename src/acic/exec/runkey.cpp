@@ -8,6 +8,8 @@
 #include <string_view>
 #include <utility>
 
+#include "acic/fs/nfs.hpp"
+#include "acic/fs/striped.hpp"
 #include "acic/plugin/substrates.hpp"
 
 namespace acic::exec {
@@ -106,9 +108,9 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
   c.mark(kVersionTag);
 
   // --- Configuration (system half) ----------------------------------
-  // Canonicalizations: the stripe size is meaningless (and normalised to
-  // zero) outside the parallel file systems, and a defaulted RAID member
-  // count resolves to the same platform value an explicit spelling would.
+  // Canonicalization: the stripe size is meaningless (and normalised to
+  // zero) outside the parallel file systems.  The RAID member count is
+  // derived from device and instance.
   c.field("cfg.device", static_cast<int>(config.device));
   c.field("cfg.fs", static_cast<int>(config.fs));
   c.field("cfg.instance", static_cast<int>(config.instance));
@@ -163,8 +165,9 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
     c.field("f.preempt_notice", faults.preemption_notice);
   }
   if (faults.any()) {
-    c.field("f.min_duration", faults.min_duration);
-    c.field("f.max_duration", faults.max_duration);
+    // Constant window bounds, kept in RunKey v1's frozen field list.
+    c.field("f.min_duration", cloud::FaultModel::kMinDuration);
+    c.field("f.max_duration", cloud::FaultModel::kMaxDuration);
   }
 
   // Checkpoint/restart policy folds in only once it can affect the run
@@ -182,21 +185,23 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
     c.field("ck.delay_max", ck.replacement_delay_max);
   }
 
-  // File-system tuning always shapes the simulated costs.
+  // File-system costs.  RunKey v1's field list is frozen: the NFS and
+  // PVFS2 software costs hash their substrate constants under the v1
+  // tags; the cache size and the per-stripe CPU come from the run.
   const fs::FsTuning& t = options.tuning;
-  c.field("t.nfs_client", t.nfs_client_overhead);
-  c.field("t.nfs_server", t.nfs_server_overhead);
-  c.field("t.nfs_wlat", t.nfs_write_latency_factor);
-  c.field("t.nfs_shared_pen", t.nfs_shared_write_penalty);
-  c.field("t.nfs_open", t.nfs_open_cost);
-  c.field("t.nfs_close", t.nfs_close_cost);
+  c.field("t.nfs_client", fs::NfsModel::kClientOverhead);
+  c.field("t.nfs_server", fs::NfsModel::kServerOverhead);
+  c.field("t.nfs_wlat", fs::NfsModel::kWriteLatencyFactor);
+  c.field("t.nfs_shared_pen", fs::NfsModel::kSharedWritePenalty);
+  c.field("t.nfs_open", fs::NfsModel::kOpenCost);
+  c.field("t.nfs_close", fs::NfsModel::kCloseCost);
   c.field("t.nfs_cache", t.nfs_cache_fraction);
-  c.field("t.pvfs_client", t.pvfs_client_overhead);
-  c.field("t.pvfs_server", t.pvfs_server_overhead);
+  c.field("t.pvfs_client", fs::kPvfs2Costs.client_overhead);
+  c.field("t.pvfs_server", fs::kPvfs2Costs.server_overhead);
   c.field("t.pvfs_stripe_cpu", t.pvfs_per_stripe_cpu);
-  c.field("t.pvfs_wlat", t.pvfs_write_latency_factor);
-  c.field("t.pvfs_rlat", t.pvfs_read_latency_factor);
-  c.field("t.pvfs_mds", t.pvfs_mds_op_cost);
+  c.field("t.pvfs_wlat", fs::kPvfs2Costs.write_latency_factor);
+  c.field("t.pvfs_rlat", fs::kPvfs2Costs.read_latency_factor);
+  c.field("t.pvfs_mds", fs::kPvfs2Costs.open_cost);
 
   // Retry shape only matters once the policy is armed (disabled keeps
   // the legacy wait-forever semantics bit-for-bit).  The deadline.v2
@@ -219,12 +224,13 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
     c.field("p.spot_factor", s.price_factor);
     c.field("p.spot_restart", s.per_restart_cost);
   } else if (options.detailed_pricing) {
-    const cloud::DetailedPricing& p = *options.detailed_pricing;
+    // Constant 2013 EBS rates, kept in RunKey v1's frozen field list.
+    using cloud::DetailedPricing;
     c.mark("p.detailed");
-    c.field("p.gb_month", p.ebs_gb_month);
-    c.field("p.per_mio", p.ebs_per_million_ios);
-    c.field("p.volume", p.ebs_volume_size);
-    c.field("p.hours", p.hours_per_month);
+    c.field("p.gb_month", DetailedPricing::kEbsGbMonth);
+    c.field("p.per_mio", DetailedPricing::kEbsPerMillionIos);
+    c.field("p.volume", DetailedPricing::kEbsVolumeSize);
+    c.field("p.hours", DetailedPricing::kHoursPerMonth);
   } else {
     c.mark("p.eq1");
   }

@@ -6,8 +6,8 @@
 // results.  RunKey is the content address for that primitive: a 128-bit
 // FNV-1a fingerprint over a canonical serialization of the inputs, stable
 // across field-assignment order, float formatting, and the various
-// equivalent spellings the option structs allow (a defaulted RAID member
-// count, an un-normalized workload).
+// equivalent spellings the option structs allow (a stripe size on NFS,
+// an un-normalized workload).
 //
 // Deliberately EXCLUDED from the fingerprint (see DESIGN.md §9):
 //  * Workload::name            — a display label, never read by the model.

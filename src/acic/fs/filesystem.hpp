@@ -35,29 +35,17 @@
 
 namespace acic::fs {
 
-/// Software-cost constants for the file-system models.  Exposed as a
-/// struct so the ablation benches can perturb them.
+/// The file-system values a run can vary.  Each model's software costs
+/// are substrate data beside it (NfsModel's constants, the StripedCosts
+/// tables in pvfs2.cpp and lustre.cpp); the two cost fields here are the
+/// ones bench/ablation_model_knobs perturbs.
 struct FsTuning {
-  // NFS
-  SimTime nfs_client_overhead = 0.15 * kMillisecond;
-  SimTime nfs_server_overhead = 0.10 * kMillisecond;
-  /// Fraction of device latency a write pays (write-back cache absorbs
-  /// the rest); reads pay the full seek.
-  double nfs_write_latency_factor = 0.25;
-  SimTime nfs_shared_write_penalty = 0.60 * kMillisecond;
-  SimTime nfs_open_cost = 0.20 * kMillisecond;
-  SimTime nfs_close_cost = 0.50 * kMillisecond;  // close-to-open flush
-  /// Fraction of the server instance's RAM usable as write-back cache
-  /// (0 disables the cache entirely — the ablation knob).
+  /// Fraction of the NFS server instance's RAM usable as write-back
+  /// cache (0 disables the cache entirely — ablation a).
   double nfs_cache_fraction = 0.5;
-
-  // PVFS2
-  SimTime pvfs_client_overhead = 0.45 * kMillisecond;
-  SimTime pvfs_server_overhead = 0.20 * kMillisecond;
+  /// Client splitting work per stripe, for PVFS2 and Lustre alike
+  /// (0 removes it — ablation b).
   SimTime pvfs_per_stripe_cpu = 0.015 * kMillisecond;
-  double pvfs_write_latency_factor = 0.9;  // direct I/O, no client cache
-  double pvfs_read_latency_factor = 1.0;
-  SimTime pvfs_mds_op_cost = 0.50 * kMillisecond;
 
   /// Client-side deadline/retry/backoff behaviour (disabled by default,
   /// which preserves the legacy wait-forever semantics bit-for-bit).

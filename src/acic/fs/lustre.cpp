@@ -1,11 +1,12 @@
 // Lustre substrate — an extension file system (§3.1 names
 // Lustre and GPFS as the parallel file systems large clusters deploy; §8
 // plans support for "incrementally new I/O configurations").  It runs on
-// the striped model PVFS2 uses, with Lustre's own cost table:
+// the striped model PVFS2 uses, with Lustre's own cost table (built in
+// the factory below; only the per-stripe CPU comes from FsTuning):
 //
 //  * object storage servers with threaded request pipelines — lower
 //    per-request client and server cost and a slightly better write path
-//    than our PVFS2 costs;
+//    than PVFS2's kPvfs2Costs;
 //  * distributed lock management (LDLM): shared-file writes pay a small
 //    per-request lock acquisition, unlike PVFS2's lock-free semantics
 //    (and far cheaper than NFS's whole-file consistency penalty);

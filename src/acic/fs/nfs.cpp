@@ -16,14 +16,14 @@ constexpr int kServer = 0;  // NFS has exactly one server
 constexpr Bytes kEpsilonBytesNfs = 1e-3;
 }
 
-NfsModel::NfsModel(cloud::ClusterModel& cluster, FsTuning tuning)
-    : cluster_(cluster), tuning_(tuning) {
-  ACIC_EXPECTS(tuning_.nfs_cache_fraction >= 0.0 &&
-                   tuning_.nfs_cache_fraction <= 1.0,
-               "nfs_cache_fraction " << tuning_.nfs_cache_fraction
+NfsModel::NfsModel(cloud::ClusterModel& cluster, const FsTuning& tuning)
+    : cluster_(cluster) {
+  ACIC_EXPECTS(tuning.nfs_cache_fraction >= 0.0 &&
+                   tuning.nfs_cache_fraction <= 1.0,
+               "nfs_cache_fraction " << tuning.nfs_cache_fraction
                                      << " outside [0, 1]");
   cache_capacity_ =
-      tuning_.nfs_cache_fraction * cluster_.spec().memory_gb * GiB;
+      tuning.nfs_cache_fraction * cluster_.spec().memory_gb * GiB;
 }
 
 NfsModel::~NfsModel() {
@@ -53,13 +53,13 @@ sim::Task NfsModel::request(int rank, Bytes bytes, bool is_write,
   auto& sim = cluster_.simulator();
 
   // Client-side software cost.
-  co_await sim.delay(tuning_.nfs_client_overhead * op_weight);
+  co_await sim.delay(kClientOverhead * op_weight);
   if (!cluster_.rank_colocated_with_server(rank, kServer)) {
     co_await sim.delay(cluster_.network_rpc_latency() * op_weight);
   }
   if (is_write && shared_file) {
     // Concurrent writers to one file fight over attribute/lock state.
-    co_await sim.delay(tuning_.nfs_shared_write_penalty * op_weight);
+    co_await sim.delay(kSharedWritePenalty * op_weight);
   }
 
   drain_to_now();
@@ -86,11 +86,11 @@ sim::Task NfsModel::request(int rank, Bytes bytes, bool is_write,
   // actually touched (cache-absorbed writes skip the seek entirely).
   double latency_factor = 1.0;
   if (is_write) {
-    latency_factor = absorbed ? 0.0 : tuning_.nfs_write_latency_factor;
+    latency_factor = absorbed ? 0.0 : kWriteLatencyFactor;
   }
   auto& queue = cluster_.server_op_queue(kServer);
   co_await queue.acquire();
-  co_await sim.delay((tuning_.nfs_server_overhead +
+  co_await sim.delay((kServerOverhead +
                       cluster_.device_latency(kServer) * latency_factor) *
                      op_weight);
   queue.release();
@@ -123,7 +123,7 @@ sim::Task NfsModel::metadata_op(int rank, SimTime cost) {
 }
 
 sim::Task NfsModel::open_file(int rank) {
-  co_await metadata_op(rank, tuning_.nfs_open_cost);
+  co_await metadata_op(rank, kOpenCost);
 }
 
 sim::Task NfsModel::close_file(int rank) {
@@ -131,7 +131,7 @@ sim::Task NfsModel::close_file(int rank) {
   // of the transfer), but the server acks before its own disk write-back
   // completes — the dirty set may outlive the application, exactly as on
   // the paper's EC2 setup.  Only the metadata round-trip is paid here.
-  co_await metadata_op(rank, tuning_.nfs_close_cost);
+  co_await metadata_op(rank, kCloseCost);
 }
 
 }  // namespace acic::fs

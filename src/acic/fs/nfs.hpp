@@ -20,7 +20,19 @@ namespace acic::fs {
 
 class NfsModel final : public FileSystem {
  public:
-  NfsModel(cloud::ClusterModel& cluster, FsTuning tuning);
+  /// Software costs: substrate data, like the striped systems'
+  /// StripedCosts tables.  Only the cache size comes from FsTuning.
+  static constexpr SimTime kClientOverhead = 0.15 * kMillisecond;
+  static constexpr SimTime kServerOverhead = 0.10 * kMillisecond;
+  /// Fraction of device latency a write pays (write-back cache absorbs
+  /// the rest); reads pay the full seek.
+  static constexpr double kWriteLatencyFactor = 0.25;
+  static constexpr SimTime kSharedWritePenalty = 0.60 * kMillisecond;
+  static constexpr SimTime kOpenCost = 0.20 * kMillisecond;
+  /// Close-to-open flush.
+  static constexpr SimTime kCloseCost = 0.50 * kMillisecond;
+
+  NfsModel(cloud::ClusterModel& cluster, const FsTuning& tuning);
   /// Flushes this run's write-back cache hit/miss totals into the
   /// process-wide metrics registry (`fs.NFS.cache_hits` / `.cache_misses`).
   ~NfsModel() override;
@@ -40,7 +52,6 @@ class NfsModel final : public FileSystem {
   void drain_to_now() const;
 
   cloud::ClusterModel& cluster_;
-  FsTuning tuning_;
   Bytes cache_capacity_ = 0.0;
   mutable Bytes dirty_ = 0.0;
   mutable SimTime last_drain_ = 0.0;

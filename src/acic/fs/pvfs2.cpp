@@ -1,12 +1,26 @@
 // PVFS2 substrate: the paper's striped parallel FS (point 1).  Its grids
 // reproduce the Table 1 values: servers {1,2,4} and stripes {64 KiB,
-// 4 MiB}.  Its costs are the FsTuning::pvfs_* fields: a higher
-// per-request software cost than NFS, per-stripe splitting work, and no
-// shared-file locking (PVFS2 has no POSIX lock semantics).
+// 4 MiB}.  Its costs are the kPvfs2Costs table below: a higher
+// per-request software cost than NFS, per-stripe splitting work (the
+// run's FsTuning::pvfs_per_stripe_cpu), and no shared-file locking
+// (PVFS2 has no POSIX lock semantics).
 #include <memory>
 
 #include "acic/fs/striped.hpp"
 #include "acic/plugin/substrates.hpp"
+
+namespace acic::fs {
+
+const StripedCosts kPvfs2Costs{
+    .client_overhead = 0.45 * kMillisecond,
+    .server_overhead = 0.20 * kMillisecond,
+    .write_latency_factor = 0.9,  // direct I/O, no client cache
+    .read_latency_factor = 1.0,
+    .shared_write_lock = 0.0,
+    .open_cost = 0.50 * kMillisecond,
+    .close_cost = 0.50 * kMillisecond};
+
+}  // namespace acic::fs
 
 namespace acic::plugin {
 
@@ -22,15 +36,8 @@ FilesystemPlugin pvfs2_filesystem() {
   p.stripe_sizes = {64.0 * KiB, 4.0 * MiB};
   p.make = [](cloud::ClusterModel& cluster,
               const fs::FsTuning& tuning) -> std::unique_ptr<fs::FileSystem> {
-    const fs::StripedCosts costs{
-        .client_overhead = tuning.pvfs_client_overhead,
-        .per_stripe_cpu = tuning.pvfs_per_stripe_cpu,
-        .server_overhead = tuning.pvfs_server_overhead,
-        .write_latency_factor = tuning.pvfs_write_latency_factor,
-        .read_latency_factor = tuning.pvfs_read_latency_factor,
-        .shared_write_lock = 0.0,
-        .open_cost = tuning.pvfs_mds_op_cost,
-        .close_cost = tuning.pvfs_mds_op_cost};
+    fs::StripedCosts costs = fs::kPvfs2Costs;
+    costs.per_stripe_cpu = tuning.pvfs_per_stripe_cpu;
     return std::make_unique<fs::StripedModel>(cluster, "PVFS2", costs);
   };
   return p;

@@ -24,6 +24,11 @@ struct StripedCosts {
   SimTime close_cost = 0.0;
 };
 
+/// PVFS2's cost table (pvfs2.cpp).  Its per_stripe_cpu stays 0: the
+/// factory fills in the run's FsTuning::pvfs_per_stripe_cpu.  RunKey v1
+/// hashes the other values under its frozen `t.pvfs_*` tags.
+extern const StripedCosts kPvfs2Costs;
+
 class StripedModel final : public FileSystem {
  public:
   /// `name` is the display name metrics use (`fs.<name>.*`); the model

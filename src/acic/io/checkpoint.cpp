@@ -18,7 +18,9 @@ constexpr int kDumpChunks = 8;
 }  // namespace
 
 bool CheckpointPolicy::valid() const {
-  return interval > 0.0 && bytes >= 0.0 && max_restarts >= 0 &&
+  // Each tick re-arms at now + interval, so the floor bounds the tick
+  // count of a run; the preemption model clamps its interval the same way.
+  return interval >= kMinInterval && bytes >= 0.0 && max_restarts >= 0 &&
          replacement_delay_min >= 0.0 &&
          replacement_delay_max >= replacement_delay_min;
 }

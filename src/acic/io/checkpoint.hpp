@@ -38,9 +38,12 @@ namespace acic::io {
 /// checkpointing itself is off (`enabled == false` or `bytes == 0`):
 /// the job then restarts from scratch — everything since t=0 is lost.
 struct CheckpointPolicy {
+  /// Smallest valid `interval`, seconds.
+  static constexpr SimTime kMinInterval = 1.0;
+
   /// Master switch for periodic checkpoint writes.
   bool enabled = false;
-  /// Sim-time seconds between checkpoint attempts.
+  /// Sim-time seconds between checkpoint attempts (>= kMinInterval).
   SimTime interval = 600.0;
   /// Bytes per checkpoint dump, written through the configured fs.
   Bytes bytes = 0.0;

@@ -75,22 +75,20 @@ sim::Task ParallelIo::io_phase(int rank, const Workload& w, bool is_write,
   }
   if (is_write && rank == 0 && is_mpiio_family(w.interface) &&
       inflation(w.interface) > 1.0) {
-    co_await format_header(rank, w, iteration);
+    co_await format_header(rank, w);
   }
 
   if (w.collective) {
-    co_await collective_io(rank, w, is_write, iteration);
+    co_await collective_io(rank, w, is_write);
   } else {
-    co_await independent_io(rank, w, is_write, iteration);
+    co_await independent_io(rank, w, is_write);
   }
 
   co_await mpi_.barrier();
   if (rank == 0) io_time_ += cluster_.simulator().now() - start;
 }
 
-sim::Task ParallelIo::format_header(int rank, const Workload& w,
-                                    int iteration) {
-  (void)iteration;
+sim::Task ParallelIo::format_header(int rank, const Workload& w) {
   // Self-describing formats serialise a header/superblock update.
   co_await fs_.request(rank, kHeaderBytes, /*is_write=*/true, w.file_shared,
                        /*op_weight=*/1.0);
@@ -114,8 +112,7 @@ sim::Task ParallelIo::chunked_requests(int rank, Bytes total_bytes,
 }
 
 sim::Task ParallelIo::independent_io(int rank, const Workload& w,
-                                     bool is_write, int iteration) {
-  (void)iteration;
+                                     bool is_write) {
   if (rank >= w.num_io_processes) co_return;
   const double factor = inflation(w.interface);
   co_await chunked_requests(rank, w.data_size * factor,
@@ -132,8 +129,7 @@ Bytes ParallelIo::aggregated_bytes(int agg, const Workload& w) const {
 }
 
 sim::Task ParallelIo::collective_io(int rank, const Workload& w,
-                                    bool is_write, int iteration) {
-  (void)iteration;
+                                    bool is_write) {
   const bool is_io_proc = rank < w.num_io_processes;
   const int agg = mpi_.aggregator_of(rank);
   const double factor = inflation(w.interface);

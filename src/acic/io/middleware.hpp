@@ -56,11 +56,9 @@ class ParallelIo {
                              bool is_write, bool shared_file);
   sim::Task io_phase(int rank, const Workload& w, bool is_write,
                      int iteration);
-  sim::Task independent_io(int rank, const Workload& w, bool is_write,
-                           int iteration);
-  sim::Task collective_io(int rank, const Workload& w, bool is_write,
-                          int iteration);
-  sim::Task format_header(int rank, const Workload& w, int iteration);
+  sim::Task independent_io(int rank, const Workload& w, bool is_write);
+  sim::Task collective_io(int rank, const Workload& w, bool is_write);
+  sim::Task format_header(int rank, const Workload& w);
 
   /// Bytes aggregator `agg` coalesces per direction per iteration.
   Bytes aggregated_bytes(int agg, const Workload& w) const;

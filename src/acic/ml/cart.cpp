@@ -16,6 +16,11 @@ namespace acic::ml {
 
 namespace {
 
+/// Nodes with fewer samples are leaves.
+constexpr std::size_t kMinSamplesSplit = 4;
+/// Minimum relative SSE improvement for a split to be kept.
+constexpr double kMinGain = 1e-9;
+
 struct SplitChoice {
   bool found = false;
   int feature = -1;
@@ -37,10 +42,9 @@ CartTree CartTree::train_on_rows(const Dataset& data,
   ACIC_EXPECTS(!rows.empty(), "cannot fit CART on an empty row view");
   ACIC_EXPECTS(params.max_depth >= 1,
                "CART max_depth must be >= 1, got " << params.max_depth);
-  ACIC_EXPECTS(params.min_samples_leaf >= 1 && params.min_samples_split >= 2,
-               "degenerate CART split parameters: min_samples_leaf="
-                   << params.min_samples_leaf
-                   << " min_samples_split=" << params.min_samples_split);
+  ACIC_EXPECTS(params.min_samples_leaf >= 1,
+               "CART min_samples_leaf must be >= 1, got "
+                   << params.min_samples_leaf);
   ACIC_DCHECK(
       [&] {
         for (std::size_t r : rows) {
@@ -101,9 +105,7 @@ int CartTree::build(const Dataset& data, std::vector<std::size_t>& index,
   node.stddev = std::sqrt(sse_here / static_cast<double>(n));
 
   const bool can_split =
-      depth < params.max_depth &&
-      n >= static_cast<std::size_t>(params.min_samples_split) &&
-      sse_here > 0.0;
+      depth < params.max_depth && n >= kMinSamplesSplit && sse_here > 0.0;
 
   SplitChoice best;
   // Candidates are visited by feature index, then ascending threshold, and
@@ -157,7 +159,7 @@ int CartTree::build(const Dataset& data, std::vector<std::size_t>& index,
       }
     }
     if (best.found &&
-        sse_here - best.sse < params.min_gain * std::max(sse_here, 1e-30)) {
+        sse_here - best.sse < kMinGain * std::max(sse_here, 1e-30)) {
       best.found = false;  // gain too small to be worth a node
     }
   }

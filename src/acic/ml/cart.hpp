@@ -23,9 +23,6 @@ namespace acic::ml {
 struct CartParams {
   int max_depth = 16;
   int min_samples_leaf = 2;
-  int min_samples_split = 4;
-  /// Minimum relative SSE improvement for a split to be kept.
-  double min_gain = 1e-9;
   /// 0 disables pruning; k >= 2 holds out every k-th sample and prunes
   /// subtrees that do not help on the held-out part.
   std::size_t prune_holdout = 5;

@@ -12,24 +12,30 @@
 
 namespace acic::ml {
 
+namespace {
+
+/// Individual trees do not hold out a pruning set — bagging is the
+/// variance control here.
+constexpr CartParams kTreeParams{.prune_holdout = 0};
+
+}  // namespace
+
 void ForestRegressor::fit(const Dataset& data) {
   ACIC_CHECK(data.rows() > 0);
   ACIC_CHECK(params_.trees >= 1);
   trees_.clear();
   trees_.reserve(static_cast<std::size_t>(params_.trees));
   Rng rng(params_.seed);
-  const std::size_t draws = std::max<std::size_t>(
-      1, static_cast<std::size_t>(params_.bootstrap_fraction *
-                                  static_cast<double>(data.rows())));
+  // Each bootstrap draws as many rows as the data has, with replacement.
   // Bootstraps are index views into `data` — drawing the same row ids in
   // the same rng order as a materialised resample, so seeded models are
   // unchanged, without the old O(trees x n x f) row copies.
-  std::vector<std::size_t> boot(draws);
+  std::vector<std::size_t> boot(data.rows());
   for (int t = 0; t < params_.trees; ++t) {
-    for (std::size_t i = 0; i < draws; ++i) {
-      boot[i] = static_cast<std::size_t>(rng.uniform_index(data.rows()));
+    for (std::size_t& row : boot) {
+      row = static_cast<std::size_t>(rng.uniform_index(data.rows()));
     }
-    trees_.push_back(CartTree::train_on_rows(data, boot, params_.tree_params));
+    trees_.push_back(CartTree::train_on_rows(data, boot, kTreeParams));
   }
 }
 

@@ -12,21 +12,16 @@
 
 namespace acic::ml {
 
+/// Each tree grows with the default CartParams minus the pruning
+/// holdout on a bootstrap of as many rows as the data has.
 struct ForestParams {
   int trees = 25;
   std::uint64_t seed = 1;
-  CartParams tree_params = {};
-  /// Fraction of rows each bootstrap draws (with replacement).
-  double bootstrap_fraction = 1.0;
 };
 
 class ForestRegressor final : public Learner {
  public:
-  explicit ForestRegressor(ForestParams params = {}) : params_(params) {
-    // Individual trees do not hold out a pruning set — bagging is the
-    // variance control here.
-    params_.tree_params.prune_holdout = 0;
-  }
+  explicit ForestRegressor(ForestParams params = {}) : params_(params) {}
 
   void fit(const Dataset& data) override;
   double predict(std::span<const double> features) const override;

@@ -13,6 +13,9 @@ namespace acic::ml {
 
 namespace {
 
+/// Ridge damping on the normal equations' diagonal.
+constexpr double kRidge = 1e-6;
+
 void fit_normalizer(const Dataset& data, std::vector<double>& lo,
                     std::vector<double>& scale) {
   const std::size_t f = data.features();
@@ -80,7 +83,7 @@ void LinearRegressor::fit(const Dataset& data) {
       b[p] += row[p] * data.y[i];
     }
   }
-  for (std::size_t p = 0; p < m; ++p) a[p * m + p] += ridge_;
+  for (std::size_t p = 0; p < m; ++p) a[p * m + p] += kRidge;
 
   // Gaussian elimination with partial pivoting.
   for (std::size_t col = 0; col < m; ++col) {

@@ -26,14 +26,11 @@ class KnnRegressor final : public Learner {
 /// damping; the "linear baseline" learner.
 class LinearRegressor final : public Learner {
  public:
-  explicit LinearRegressor(double ridge = 1e-6) : ridge_(ridge) {}
-
   void fit(const Dataset& data) override;
   double predict(std::span<const double> features) const override;
   std::string name() const override { return "linear"; }
 
  private:
-  double ridge_;
   std::vector<double> beta_;  // intercept first
   std::vector<double> lo_, scale_;
 };

@@ -136,43 +136,13 @@ class Barrier {
     arrived_ = 0;
     auto waiters = std::move(waiters_);
     waiters_.clear();
-    ++generation_;
     for (auto h : waiters) sim_.at(sim_.now(), [h] { h.resume(); });
   }
 
   Simulator& sim_;
   std::size_t parties_;
   std::size_t arrived_ = 0;
-  std::uint64_t generation_ = 0;
   std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Unbounded message queue between simulated processes.
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(Simulator& sim) : cond_(sim) {}
-
-  void send(T value) {
-    queue_.push_back(std::move(value));
-    cond_.notify_one();
-  }
-
-  /// Awaitable receive; completes when a message is available.
-  Task recv_into(T& out) {
-    while (queue_.empty()) {
-      co_await cond_.wait();
-    }
-    out = std::move(queue_.front());
-    queue_.pop_front();
-  }
-
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
-
- private:
-  Condition cond_;
-  std::deque<T> queue_;
 };
 
 }  // namespace acic::sim

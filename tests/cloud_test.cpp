@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "acic/cloud/cluster.hpp"
@@ -63,7 +65,6 @@ TEST(IoConfigTest, EnumerationCountsAndUniqueLabels) {
 TEST(IoConfigTest, EphemeralRaidUsesAllLocalDisks) {
   IoConfig c = IoConfig::baseline();
   c.device = storage::DeviceType::kEphemeral;
-  c.raid_members = 0;
   c.instance = InstanceType::kCc2_8xlarge;
   EXPECT_EQ(c.effective_raid_members(), 4);
   c.instance = InstanceType::kCc1_4xlarge;
@@ -483,6 +484,21 @@ TEST(FaultModelTest, ValidityRules) {
   m.preemptions_per_hour = 2.0;
   m.preemption_notice = -1.0;
   EXPECT_FALSE(m.valid());
+  // The runner schedules a whole 24 h horizon of faults before it
+  // simulates, so every rate has a ceiling.
+  for (const auto rate :
+       {&FaultModel::outages_per_hour, &FaultModel::brownouts_per_hour,
+        &FaultModel::stragglers_per_hour, &FaultModel::preemptions_per_hour}) {
+    m = {};
+    m.*rate = FaultModel::kMaxPerHour;
+    EXPECT_TRUE(m.valid());
+    m.*rate = std::nextafter(FaultModel::kMaxPerHour, 1e9);
+    EXPECT_FALSE(m.valid());
+    m.*rate = 100000.0;
+    EXPECT_FALSE(m.valid());
+    m.*rate = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(m.valid());
+  }
 }
 
 // A preemption takes the whole server — NIC and device — after the

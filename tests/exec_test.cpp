@@ -139,15 +139,6 @@ TEST(RunKeyTest, EquivalentSpellingsShareOneKey) {
   cloud::IoConfig nfs_b = cfg;
   nfs_b.stripe_size = 64.0 * MiB;
   EXPECT_EQ(exec::run_key(w, nfs_a, opts), exec::run_key(w, nfs_b, opts));
-
-  // raid_members=0 selects the platform default; spelling the resolved
-  // value explicitly is the same configuration.
-  cloud::IoConfig raid_default = cfg;
-  raid_default.raid_members = 0;
-  cloud::IoConfig raid_explicit = cfg;
-  raid_explicit.raid_members = cfg.effective_raid_members();
-  EXPECT_EQ(exec::run_key(w, raid_default, opts),
-            exec::run_key(w, raid_explicit, opts));
 }
 
 TEST(RunKeyTest, DistinctBehavioursGetDistinctKeys) {
@@ -177,6 +168,16 @@ TEST(RunKeyTest, DistinctBehavioursGetDistinctKeys) {
   io::RunOptions retry = opts;
   retry.tuning.retry.enabled = true;
   EXPECT_NE(base, exec::run_key(w, cfg, retry));
+
+  // The two file-system costs a run can vary (ablations a and b).
+  io::RunOptions no_cache = opts;
+  no_cache.tuning.nfs_cache_fraction = 0.0;
+  EXPECT_NE(base, exec::run_key(w, cfg, no_cache));
+  io::RunOptions no_stripe_cpu = opts;
+  no_stripe_cpu.tuning.pvfs_per_stripe_cpu = 0.0;
+  EXPECT_NE(base, exec::run_key(w, cfg, no_stripe_cpu));
+  EXPECT_NE(exec::run_key(w, cfg, no_cache),
+            exec::run_key(w, cfg, no_stripe_cpu));
 
   io::RunOptions priced = opts;
   priced.detailed_pricing = cloud::DetailedPricing{};
@@ -603,8 +604,9 @@ TEST(ExecConcurrency, ConcurrentCallersCoalesceOntoOneRun) {
   std::vector<io::RunResult> results(kThreads);
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { results[static_cast<std::size_t>(t)] = fake.executor.run(req); });
+    threads.emplace_back([&, t] {
+      results[static_cast<std::size_t>(t)] = fake.executor.run(req);
+    });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(fake.executions.load(), 1);

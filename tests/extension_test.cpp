@@ -36,12 +36,6 @@ TEST(ExploredDims, SystemDimsAlwaysFirst) {
   EXPECT_NE(std::find(dims.begin(), dims.end(), kIterations), dims.end());
 }
 
-TEST(ExploredDims, LiteralModeFollowsRankingExactly) {
-  const auto order = identity_order();
-  const auto dims = explored_dims(order, 4, /*system_first=*/false);
-  EXPECT_EQ(dims, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(ExploredDims, RejectsTooFewDimsForSystemMode) {
   EXPECT_THROW(explored_dims(identity_order(), 5), Error);
   EXPECT_NO_THROW(explored_dims(identity_order(), 6));

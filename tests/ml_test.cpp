@@ -298,8 +298,8 @@ TEST(ForestTest, IndexViewBootstrapMatchesMaterializedResample) {
   ForestRegressor forest(p);
   forest.fit(data);
 
-  CartParams tree_params = p.tree_params;
-  tree_params.prune_holdout = 0;  // as ForestRegressor's ctor forces
+  CartParams tree_params;
+  tree_params.prune_holdout = 0;  // as ForestRegressor's trees grow
   Rng rng(p.seed);
   std::vector<CartTree> copied;
   for (int t = 0; t < p.trees; ++t) {

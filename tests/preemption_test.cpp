@@ -169,6 +169,13 @@ TEST(PreemptionTest, CheckpointPolicyValidityRules) {
   EXPECT_TRUE(p.valid());  // defaults are valid (and inert)
   p.interval = 0.0;
   EXPECT_FALSE(p.valid());
+  // Sub-second intervals re-arm ticks without bound: 1 s is the floor.
+  p.interval = 1e-300;
+  EXPECT_FALSE(p.valid());
+  p.interval = 0.999;
+  EXPECT_FALSE(p.valid());
+  p.interval = CheckpointPolicy::kMinInterval;
+  EXPECT_TRUE(p.valid());
   p = {};
   p.bytes = -1.0;
   EXPECT_FALSE(p.valid());

@@ -380,6 +380,11 @@ TEST(ServiceDegradation, SimulateVerbRunsSeededChaos) {
   const auto bad = svc.handle(
       "simulate config=nfs.D.ebs brownouts=5 brownout_fraction=2.0");
   EXPECT_EQ(bad.rfind("error", 0), 0u) << bad;
+  // A rate above the per-hour ceiling is rejected before any fault of the
+  // 24 h horizon is scheduled.
+  const auto flood = svc.handle("simulate config=nfs.D.ebs failures=100000");
+  EXPECT_EQ(flood.rfind("error", 0), 0u) << flood;
+  EXPECT_NE(flood.find("invalid fault model"), std::string::npos) << flood;
 }
 
 // --- Preemption / checkpoint / spot knobs ----------------------------
@@ -402,6 +407,14 @@ TEST(ServiceDegradation, SimulateVerbRunsPreemptionChaos) {
   const auto bad = svc.handle(
       "simulate config=nfs.D.ebs checkpoint_interval=0 checkpoint_bytes=1MiB");
   EXPECT_EQ(bad.rfind("error", 0), 0u) << bad;
+  // Each tick re-arms at now + interval, so a vanishing interval would
+  // pin the worker forever: below 1 s is an error answered at once.
+  const auto tiny = svc.handle(
+      "simulate config=nfs.D.ebs checkpoint_interval=1e-300 "
+      "checkpoint_bytes=1GiB");
+  EXPECT_EQ(tiny.rfind("error", 0), 0u) << tiny;
+  EXPECT_NE(tiny.find("invalid checkpoint policy"), std::string::npos)
+      << tiny;
 }
 
 TEST(QueryServiceTest, RecommendAdjustsForPreemptions) {

@@ -385,29 +385,5 @@ TEST(SyncTest, BarrierIsReusable) {
   EXPECT_TRUE(s.all_processes_done());
 }
 
-Task consume(Simulator& s, Mailbox<int>& mb, std::vector<int>& got, int n) {
-  for (int i = 0; i < n; ++i) {
-    int v = 0;
-    co_await mb.recv_into(v);
-    got.push_back(v);
-  }
-  (void)s;
-}
-
-TEST(SyncTest, MailboxDeliversInOrder) {
-  Simulator s;
-  Mailbox<int> mb(s);
-  std::vector<int> got;
-  s.spawn(consume(s, mb, got, 3));
-  s.at(1.0, [&] { mb.send(10); });
-  s.at(2.0, [&] {
-    mb.send(20);
-    mb.send(30);
-  });
-  s.run();
-  EXPECT_EQ(got, (std::vector<int>{10, 20, 30}));
-  EXPECT_TRUE(mb.empty());
-}
-
 }  // namespace
 }  // namespace acic::sim
