@@ -161,6 +161,9 @@ int main(int argc, char** argv) {
         ++positional;
       }
     }
+    // Before any lookup: the run cache keys drop fault fields that no
+    // rate arms, so a warm cache would answer an out-of-range one.
+    if (!opts.fault_model.valid()) throw Error("invalid fault model");
 
     const auto w = app_by_name(app, np);
     auto candidates = ssd ? cloud::IoConfig::enumerate_candidates_with_ssd()

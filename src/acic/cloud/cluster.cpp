@@ -100,13 +100,12 @@ bool ClusterModel::rank_colocated_with_server(int rank, int server) const {
   return instance_of_rank(rank) == instance_of_server(server);
 }
 
-std::vector<sim::ResourceId> ClusterModel::write_path(int rank,
-                                                      int server) const {
+sim::FlowPath ClusterModel::write_path(int rank, int server) const {
   const int ri = instance_of_rank(rank);
   const int si = instance_of_server(server);
   const bool ebs = storage::device_spec(options_.config.device)
                        .network_attached;
-  std::vector<sim::ResourceId> path;
+  sim::FlowPath path;
   if (ri != si) {
     path.push_back(nic_tx_[static_cast<std::size_t>(ri)]);
     path.push_back(nic_rx_[static_cast<std::size_t>(si)]);
@@ -119,8 +118,7 @@ std::vector<sim::ResourceId> ClusterModel::write_path(int rank,
   return path;
 }
 
-std::vector<sim::ResourceId> ClusterModel::cached_write_path(
-    int rank, int server) const {
+sim::FlowPath ClusterModel::cached_write_path(int rank, int server) const {
   const int ri = instance_of_rank(rank);
   const int si = instance_of_server(server);
   if (ri == si) return {};
@@ -138,13 +136,12 @@ double ClusterModel::drain_bandwidth(int server) const {
   return dev;
 }
 
-std::vector<sim::ResourceId> ClusterModel::read_path(int rank,
-                                                     int server) const {
+sim::FlowPath ClusterModel::read_path(int rank, int server) const {
   const int ri = instance_of_rank(rank);
   const int si = instance_of_server(server);
   const bool ebs = storage::device_spec(options_.config.device)
                        .network_attached;
-  std::vector<sim::ResourceId> path;
+  sim::FlowPath path;
   path.push_back(dev_read_[static_cast<std::size_t>(server)]);
   if (ebs) {
     // Payload arrives from the EBS backend through the server's NIC.
@@ -157,8 +154,7 @@ std::vector<sim::ResourceId> ClusterModel::read_path(int rank,
   return path;
 }
 
-std::vector<sim::ResourceId> ClusterModel::comm_path(int from_rank,
-                                                     int to_rank) const {
+sim::FlowPath ClusterModel::comm_path(int from_rank, int to_rank) const {
   const int fi = instance_of_rank(from_rank);
   const int ti = instance_of_rank(to_rank);
   if (fi == ti) return {};

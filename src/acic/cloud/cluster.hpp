@@ -58,20 +58,20 @@ class ClusterModel {
   bool rank_colocated_with_server(int rank, int server) const;
 
   /// Resource chain for writing `rank`'s data onto `server`'s device.
-  std::vector<sim::ResourceId> write_path(int rank, int server) const;
+  sim::FlowPath write_path(int rank, int server) const;
   /// Resource chain for a write absorbed by the server's page cache: NIC
   /// hops only, no device (empty when rank and server share an instance —
   /// a memory copy).
-  std::vector<sim::ResourceId> cached_write_path(int rank, int server) const;
+  sim::FlowPath cached_write_path(int rank, int server) const;
   /// Sustainable drain rate of `server`'s write-back cache (device write
   /// bandwidth, NIC-capped for network-attached devices).
   double drain_bandwidth(int server) const;
   /// Resource chain for reading from `server`'s device into `rank`.
-  std::vector<sim::ResourceId> read_path(int rank, int server) const;
+  sim::FlowPath read_path(int rank, int server) const;
   /// Resource chain for an MPI message between two ranks (empty when they
   /// share an instance — intra-node communication is effectively free at
   /// the fidelity of this model).
-  std::vector<sim::ResourceId> comm_path(int from_rank, int to_rank) const;
+  sim::FlowPath comm_path(int from_rank, int to_rank) const;
 
   /// Per-request device overhead (seek/queue) at a server.
   SimTime device_latency(int server) const;

@@ -16,12 +16,9 @@ void FileSystem::configure_fault_tolerance(const RetryPolicy& policy,
 }
 
 sim::Task FileSystem::resilient_transfer(cloud::ClusterModel& cluster,
-                                         std::vector<sim::ResourceId> path,
-                                         Bytes bytes) {
-  if (!retry_.enabled) {
-    co_await cluster.network().transfer(std::move(path), bytes);
-    co_return;
-  }
+                                         sim::FlowPath path, Bytes bytes) {
+  ACIC_EXPECTS(retry_.enabled,
+               "resilient_transfer() without an armed retry policy");
   auto& sim = cluster.simulator();
   // The request's overall deadline: max_attempts full windows from the
   // first send.  Backoff sleeps are clamped to the remaining budget and
@@ -43,7 +40,6 @@ sim::Task FileSystem::resilient_transfer(cloud::ClusterModel& cluster,
     }
     bool completed = false;
     const SimTime started = sim.now();
-    // The path is re-used across attempts, so pass a copy each time.
     co_await cluster.network().transfer_within(path, bytes, window,
                                                &completed);
     if (completed) co_return;

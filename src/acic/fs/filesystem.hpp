@@ -24,13 +24,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "acic/cloud/cluster.hpp"
 #include "acic/common/check.hpp"
 #include "acic/common/rng.hpp"
 #include "acic/common/units.hpp"
 #include "acic/fs/retry.hpp"
+#include "acic/simcore/flow.hpp"
 #include "acic/simcore/task.hpp"
 
 namespace acic::fs {
@@ -88,14 +88,17 @@ class FileSystem {
   const FaultStats& fault_stats() const { return fault_stats_; }
 
  protected:
-  /// Move a payload with the configured deadline/retry/backoff reaction;
-  /// falls back to a plain (wait-forever) transfer when the policy is
-  /// disabled.  An abandoned payload counts as a failed request; the
-  /// coroutine still returns normally so the rank can finish — the
-  /// runner downgrades the run's outcome instead.
+  /// True when configure_fault_tolerance() armed a retry policy.  Payloads
+  /// go through resilient_transfer() only then; otherwise they await the
+  /// network's transfer() directly, which allocates nothing.
+  bool retry_armed() const { return retry_.enabled; }
+
+  /// Move a payload with the armed deadline/retry/backoff reaction.  An
+  /// abandoned payload counts as a failed request; the coroutine still
+  /// returns normally so the rank can finish — the runner downgrades the
+  /// run's outcome instead.
   sim::Task resilient_transfer(cloud::ClusterModel& cluster,
-                               std::vector<sim::ResourceId> path,
-                               Bytes bytes);
+                               sim::FlowPath path, Bytes bytes);
 
   void account(Bytes bytes, double op_weight) {
     ACIC_EXPECTS(bytes >= 0.0, "negative request size " << bytes);

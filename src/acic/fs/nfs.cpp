@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <utility>
 
 #include "acic/common/units.hpp"
 #include "acic/obs/metrics.hpp"
@@ -96,18 +95,20 @@ sim::Task NfsModel::request(int rank, Bytes bytes, bool is_write,
   queue.release();
 
   // Payload transfer (deadline/retry-aware when the policy is armed).
+  sim::FlowPath path;
   if (absorbed) {
-    auto path = cluster_.cached_write_path(rank, kServer);
-    if (path.empty()) {
-      // Local memory copy.
-      co_await sim.delay(bytes / 6.0e9);
-    } else {
-      co_await resilient_transfer(cluster_, std::move(path), bytes);
-    }
+    path = cluster_.cached_write_path(rank, kServer);
   } else {
-    auto path = is_write ? cluster_.write_path(rank, kServer)
-                         : cluster_.read_path(rank, kServer);
-    co_await resilient_transfer(cluster_, std::move(path), bytes);
+    path = is_write ? cluster_.write_path(rank, kServer)
+                    : cluster_.read_path(rank, kServer);
+  }
+  if (path.empty()) {
+    // A cache-absorbed write on the server's own instance: a memory copy.
+    co_await sim.delay(bytes / 6.0e9);
+  } else if (retry_armed()) {
+    co_await resilient_transfer(cluster_, path, bytes);
+  } else {
+    co_await cluster_.network().transfer(path, bytes);
   }
 }
 

@@ -44,9 +44,13 @@ sim::Task StripedModel::server_chunk(int rank, int server, Bytes bytes,
                       cluster_.device_latency(server) * latency_factor) *
                      op_weight);
   queue.release();
-  auto path = is_write ? cluster_.write_path(rank, server)
-                       : cluster_.read_path(rank, server);
-  co_await resilient_transfer(cluster_, std::move(path), bytes);
+  const sim::FlowPath path = is_write ? cluster_.write_path(rank, server)
+                                      : cluster_.read_path(rank, server);
+  if (retry_armed()) {
+    co_await resilient_transfer(cluster_, path, bytes);
+  } else {
+    co_await cluster_.network().transfer(path, bytes);
+  }
 }
 
 sim::Task StripedModel::request(int rank, Bytes bytes, bool is_write,

@@ -29,6 +29,10 @@ RunResult run_workload(const Workload& workload,
   w.normalize();
   ACIC_CHECK_MSG(w.valid(), "invalid workload " << w.name);
   ACIC_CHECK_MSG(config.valid(), "invalid IoConfig " << config.label());
+  // Checked here, not only by inject_random(): out-of-range fields that no
+  // rate arms would otherwise run silently.
+  ACIC_CHECK_MSG(options.fault_model.valid(), "invalid fault model");
+  ACIC_CHECK_MSG(options.checkpoint.valid(), "invalid checkpoint policy");
 
   sim::Simulator simulator;
   cloud::ClusterModel::Options copts;
@@ -57,7 +61,6 @@ RunResult run_workload(const Workload& workload,
   // runs keep the exact legacy spawn structure, so their event counts
   // and cached results are untouched.
   std::optional<CheckpointManager> checkpoints;
-  ACIC_CHECK_MSG(options.checkpoint.valid(), "invalid checkpoint policy");
   if (options.checkpoint.enabled || faults.preemptions_per_hour > 0.0) {
     checkpoints.emplace(cluster, *filesystem, injector, options.checkpoint,
                         options.seed);

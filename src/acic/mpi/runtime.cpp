@@ -26,13 +26,13 @@ sim::Task Runtime::barrier() {
 }
 
 sim::Task Runtime::send(int from, int to, Bytes bytes) {
-  auto path = cluster_.comm_path(from, to);
+  const sim::FlowPath path = cluster_.comm_path(from, to);
   if (path.empty()) {
     // Same instance: shared-memory copy.
     co_await cluster_.simulator().delay(1.0e-6 + bytes / shm_bandwidth());
   } else {
     co_await cluster_.simulator().delay(alpha());
-    co_await cluster_.network().transfer(std::move(path), bytes);
+    co_await cluster_.network().transfer(path, bytes);
   }
 }
 

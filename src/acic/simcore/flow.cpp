@@ -27,7 +27,7 @@ bool flow_done(Bytes remaining, double rate) {
   return rate > 0.0 && remaining <= rate * kTimeQuantum;
 }
 
-bool path_is_duplicate_free(const std::vector<ResourceId>& path) {
+bool path_is_duplicate_free(const FlowPath& path) {
   for (std::size_t i = 0; i < path.size(); ++i) {
     for (std::size_t j = i + 1; j < path.size(); ++j) {
       if (path[i] == path[j]) return false;
@@ -62,12 +62,8 @@ double FlowNetwork::capacity(ResourceId id) const {
   return resources_[id].capacity;
 }
 
-FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
-                               std::function<void()> on_complete) {
+void FlowNetwork::check_flow(const FlowPath& path, Bytes bytes) const {
   ACIC_EXPECTS(!path.empty(), "flow path must name at least one resource");
-  ACIC_EXPECTS(path.size() <= kMaxPathHops,
-               "flow path of " << path.size() << " hops exceeds the "
-                               << kMaxPathHops << "-hop limit");
   for (ResourceId r : path) {
     ACIC_EXPECTS(r < resources_.size(), "unknown resource " << r
                                                             << " in flow path");
@@ -78,7 +74,16 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
   ACIC_DCHECK(path_is_duplicate_free(path),
               "flow path crosses the same resource twice");
   ACIC_EXPECTS(bytes >= 0.0, "negative flow size " << bytes);
+}
 
+FlowId FlowNetwork::start_flow(const FlowPath& path, Bytes bytes,
+                               std::function<void()> on_complete) {
+  check_flow(path, bytes);
+  return admit(path, bytes, std::move(on_complete));
+}
+
+FlowId FlowNetwork::admit(const FlowPath& path, Bytes bytes,
+                          std::function<void()> on_complete) {
   const FlowId id = next_flow_id_++;
   bytes_injected_ += bytes;
   if (bytes <= kEpsilonBytes) {
@@ -127,30 +132,8 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
   return id;
 }
 
-Task FlowNetwork::transfer(std::vector<ResourceId> path, Bytes bytes) {
-  struct WaitState {
-    bool done = false;
-    std::coroutine_handle<> waiter;
-  };
-  auto state = std::make_shared<WaitState>();
-  start_flow(std::move(path), bytes, [state] {
-    state->done = true;
-    if (state->waiter) state->waiter.resume();
-  });
-  // NOTE: the awaiter holds a raw pointer, not the shared_ptr — awaiter
-  // temporaries must stay trivially destructible (see task.hpp).  The
-  // `state` local keeps the WaitState alive across the suspension.
-  struct Awaiter {
-    WaitState* state;
-    bool await_ready() const noexcept { return state->done; }
-    void await_suspend(std::coroutine_handle<> h) { state->waiter = h; }
-    void await_resume() const noexcept {}
-  };
-  co_await Awaiter{state.get()};
-}
-
-Task FlowNetwork::transfer_within(std::vector<ResourceId> path, Bytes bytes,
-                                  SimTime timeout, bool* completed) {
+Task FlowNetwork::transfer_within(FlowPath path, Bytes bytes, SimTime timeout,
+                                  bool* completed) {
   ACIC_EXPECTS(timeout > 0.0, "non-positive transfer timeout " << timeout);
   ACIC_EXPECTS(completed != nullptr,
                "transfer_within needs a completion out-param");
@@ -168,7 +151,7 @@ Task FlowNetwork::transfer_within(std::vector<ResourceId> path, Bytes bytes,
     std::coroutine_handle<> waiter;
   };
   auto state = std::make_shared<TimedState>();
-  const FlowId flow = start_flow(std::move(path), bytes, [this, state] {
+  const FlowId flow = start_flow(path, bytes, [this, state] {
     if (state->settled) return;  // the timeout won this timestamp's race
     state->settled = true;
     state->flow_done = true;
@@ -453,16 +436,16 @@ bool FlowNetwork::bytes_conserved() const {
 }
 
 bool FlowNetwork::rates_feasible() const {
-  std::vector<double> load(resources_.size(), 0.0);
+  load_.assign(resources_.size(), 0.0);
   for (std::uint32_t gi : active_) {
     const Group& g = groups_[gi];
     if (g.rate <= 0.0) continue;
     for (std::uint32_t h = 0; h < g.hops; ++h) {
-      load[g.path[h]] += g.rate * static_cast<double>(g.count);
+      load_[g.path[h]] += g.rate * static_cast<double>(g.count);
     }
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
-    if (load[r] > resources_[r].capacity * (1.0 + 1e-9) + 1e-9) return false;
+    if (load_[r] > resources_[r].capacity * (1.0 + 1e-9) + 1e-9) return false;
   }
   return true;
 }

@@ -37,14 +37,18 @@
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "acic/common/check.hpp"
 #include "acic/common/units.hpp"
 #include "acic/simcore/simulator.hpp"
 #include "acic/simcore/task.hpp"
@@ -56,11 +60,72 @@ using FlowId = std::uint64_t;
 
 inline constexpr FlowId kInvalidFlow = 0;
 
+/// Longest accepted flow path.  The cluster's longest chain, an EBS write
+/// or read across instances, is exactly this long.
+inline constexpr std::size_t kMaxPathHops = 4;
+
+/// The ordered resources a flow crosses, held inline: building, copying
+/// and passing a path never allocates.  Adding a hop past kMaxPathHops
+/// throws, so every path that exists is short enough for the solver.
+class FlowPath {
+ public:
+  FlowPath() = default;
+  FlowPath(std::initializer_list<ResourceId> hops) {
+    require_room(hops.size());
+    for (ResourceId r : hops) hops_[size_++] = r;
+  }
+
+  void push_back(ResourceId r) {
+    require_room(size_ + 1);
+    hops_[size_++] = r;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  ResourceId operator[](std::size_t i) const { return hops_[i]; }
+  const ResourceId* begin() const { return hops_.data(); }
+  const ResourceId* end() const { return hops_.data() + size_; }
+
+ private:
+  /// The one hop-limit check.
+  static void require_room(std::size_t hops) {
+    ACIC_EXPECTS(hops <= kMaxPathHops,
+                 "flow path of " << hops << " hops exceeds the "
+                                 << kMaxPathHops << "-hop limit");
+  }
+
+  std::array<ResourceId, kMaxPathHops> hops_{};
+  std::size_t size_ = 0;
+};
+static_assert(std::is_trivially_copyable_v<FlowPath>);
+
 class FlowNetwork {
  public:
-  /// Longest accepted flow path.  The cluster's longest chain, an EBS
-  /// write or read across instances, is exactly this long.
-  static constexpr std::size_t kMaxPathHops = 4;
+  /// Awaitable of transfer(): suspends the calling process until the
+  /// flow completes.  It starts the flow when the caller suspends and
+  /// resumes the caller from the completion callback, so a transfer needs
+  /// no coroutine frame, shared state or heap-stored callback.
+  class [[nodiscard]] Transfer {
+   public:
+    /// Even a zero-byte flow suspends: it completes through one event at
+    /// the current time, like any other.
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      net_->admit(path_, bytes_, [h] { h.resume(); });
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class FlowNetwork;
+    Transfer(FlowNetwork* net, const FlowPath& path, Bytes bytes)
+        : net_(net), path_(path), bytes_(bytes) {}
+
+    FlowNetwork* net_;
+    FlowPath path_;
+    Bytes bytes_;
+  };
+  // Awaiter temporaries must be trivially destructible (see task.hpp).
+  static_assert(std::is_trivially_destructible_v<Transfer>);
 
   explicit FlowNetwork(Simulator& sim) : sim_(sim) {}
   FlowNetwork(const FlowNetwork&) = delete;
@@ -77,14 +142,18 @@ class FlowNetwork {
 
   /// Begin transferring `bytes` across `path`; `on_complete` fires through
   /// the event queue when the transfer finishes.  Zero-byte transfers
-  /// complete immediately.  The path must be non-empty, duplicate-free and
-  /// at most kMaxPathHops long.
-  FlowId start_flow(std::vector<ResourceId> path, Bytes bytes,
+  /// complete immediately.  The path must be non-empty and duplicate-free
+  /// and name known resources.
+  FlowId start_flow(const FlowPath& path, Bytes bytes,
                     std::function<void()> on_complete);
 
-  /// Coroutine-friendly transfer: suspends the calling process until the
-  /// flow completes.
-  Task transfer(std::vector<ResourceId> path, Bytes bytes);
+  /// `co_await net.transfer(path, bytes)` suspends the calling process
+  /// until the flow completes.  The path and size are checked here, before
+  /// the caller suspends.
+  Transfer transfer(const FlowPath& path, Bytes bytes) {
+    check_flow(path, bytes);
+    return Transfer(this, path, bytes);
+  }
 
   /// Deadline-bounded transfer: suspends until the flow completes or
   /// `timeout` seconds elapse, whichever comes first.  On timeout the
@@ -93,8 +162,8 @@ class FlowNetwork {
   /// the timer is cancelled and `*completed` is set true.  The client
   /// observing a timed-out request maps to the paper's "lost connection
   /// to an I/O server": the payload is gone and must be re-sent.
-  Task transfer_within(std::vector<ResourceId> path, Bytes bytes,
-                       SimTime timeout, bool* completed);
+  Task transfer_within(FlowPath path, Bytes bytes, SimTime timeout,
+                       bool* completed);
 
   /// Abort an active flow: its remaining bytes are dropped (credited to
   /// `bytes_cancelled()`), rates are re-solved, and its on_complete never
@@ -117,6 +186,12 @@ class FlowNetwork {
   Bytes bytes_cancelled() const { return bytes_cancelled_; }
 
  private:
+  /// start_flow()'s preconditions on a path and a size.
+  void check_flow(const FlowPath& path, Bytes bytes) const;
+  /// Start a checked flow (start_flow() after check_flow()).
+  FlowId admit(const FlowPath& path, Bytes bytes,
+               std::function<void()> on_complete);
+
   /// A path padded to kMaxPathHops entries: the real hops first, then the
   /// last hop repeated, which leaves every "does this path cross a
   /// bottleneck" test unchanged while letting it read all entries without
@@ -230,9 +305,11 @@ class FlowNetwork {
   FlowId window_base_ = 1;
   std::size_t window_head_ = 0;
   /// Per-solve work buffers, kept to avoid allocating: the groups a filling
-  /// round left unfixed, and the tags one completion sweep retires.
+  /// round left unfixed, the tags one completion sweep retires, and the
+  /// per-resource loads rates_feasible() sums (DCHECK builds only).
   std::vector<std::uint32_t> unfixed_;
   std::vector<Tag> done_;
+  mutable std::vector<double> load_;
   std::size_t active_count_ = 0;
   /// Earliest bytes-left / rate over groups with a positive rate, as of
   /// the last solve (infinity when every flow is stalled).

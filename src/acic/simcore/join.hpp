@@ -2,7 +2,8 @@
 // and resume the caller when every one has finished.
 #pragma once
 
-#include <memory>
+#include <coroutine>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -14,16 +15,27 @@ namespace acic::sim {
 
 namespace detail {
 
+/// One when_all() call's join count, kept in its own frame and awaited by
+/// it.  Children hold a raw pointer to it, which stays valid: the joiner
+/// resumes only through the event the last child schedules after its
+/// decrement, and the other children never touch the state after theirs.
 struct JoinState {
-  explicit JoinState(Simulator& sim, std::size_t n)
-      : remaining(n), cond(sim) {}
+  Simulator& sim;
   std::size_t remaining;
-  Condition cond;
+  std::coroutine_handle<> joiner;  ///< set once when_all() suspends
+
+  bool await_ready() const noexcept { return remaining == 0; }
+  void await_suspend(std::coroutine_handle<> h) noexcept { joiner = h; }
+  void await_resume() const noexcept {}
 };
 
-inline Task run_and_count(Task inner, std::shared_ptr<JoinState> state) {
+inline Task run_and_count(Task inner, JoinState* state) {
   co_await std::move(inner);
-  if (--state->remaining == 0) state->cond.notify_all();
+  // The last child wakes the joiner through the event queue (if it has
+  // suspended yet), so the joiner never runs inside a child.
+  if (--state->remaining == 0 && state->joiner) {
+    wake(state->sim, state->joiner);
+  }
 }
 
 }  // namespace detail
@@ -38,13 +50,11 @@ inline Task when_all(Simulator& sim, std::vector<Task> tasks) {
     co_await std::move(tasks.front());
     co_return;
   }
-  auto state = std::make_shared<detail::JoinState>(sim, tasks.size());
+  detail::JoinState state{sim, tasks.size(), {}};
   for (auto& t : tasks) {
-    sim.spawn(detail::run_and_count(std::move(t), state));
+    sim.spawn(detail::run_and_count(std::move(t), &state));
   }
-  while (state->remaining > 0) {
-    co_await state->cond.wait();
-  }
+  co_await state;
 }
 
 }  // namespace acic::sim

@@ -137,12 +137,12 @@ TEST(ClusterModelTest, EbsPathsTransitServerNic) {
   EXPECT_EQ(r.size(), 4u);
 }
 
-// The flow solver stores paths inline and rejects any longer than
-// FlowNetwork::kMaxPathHops.  Only a cross-instance EBS write or read
-// reaches the limit; every other chain the cluster builds is shorter, so
-// a topology change that lengthens a path fails here, not in a run.
+// Flow paths are held inline and no path may be longer than
+// sim::kMaxPathHops.  Only a cross-instance EBS write or read reaches the
+// limit; every other chain the cluster builds is shorter, so a topology
+// change that lengthens a path fails here, not in a run.
 TEST(ClusterModelTest, OnlyCrossInstanceEbsPathsReachTheHopLimit) {
-  constexpr std::size_t kLimit = sim::FlowNetwork::kMaxPathHops;
+  constexpr std::size_t kLimit = sim::kMaxPathHops;
   for (const IoConfig& cfg : IoConfig::enumerate_candidates_with_ssd()) {
     SCOPED_TRACE(cfg.label());
     sim::Simulator s;

@@ -536,19 +536,30 @@ struct Side {
   std::vector<std::pair<long, SimTime>> log;
 };
 
+/// A script path as each network takes it: the reference keeps its
+/// std::vector, FlowNetwork takes the inline FlowPath.
+const std::vector<ResourceId>& path_for(const ReferenceFlowNetwork&,
+                                        const std::vector<ResourceId>& path) {
+  return path;
+}
+
+FlowPath path_for(const FlowNetwork&, const std::vector<ResourceId>& path) {
+  FlowPath inline_path;
+  for (ResourceId r : path) inline_path.push_back(r);
+  return inline_path;
+}
+
 template <typename Net>
-Task plain_transfer(Side<Net>* side, std::vector<ResourceId> path,
-                    Bytes bytes, long step) {
-  co_await side->net.transfer(std::move(path), bytes);
+Task plain_transfer(Side<Net>* side, const Step* st, long step) {
+  co_await side->net.transfer(path_for(side->net, st->path), st->bytes);
   side->log.emplace_back(step, side->sim.now());
 }
 
 template <typename Net>
-Task timed_transfer(Side<Net>* side, std::vector<ResourceId> path,
-                    Bytes bytes, SimTime timeout, long step) {
+Task timed_transfer(Side<Net>* side, const Step* st, long step) {
   bool completed = false;
-  co_await side->net.transfer_within(std::move(path), bytes, timeout,
-                                     &completed);
+  co_await side->net.transfer_within(path_for(side->net, st->path),
+                                     st->bytes, st->timeout, &completed);
   side->log.emplace_back(completed ? step : -1 - step, side->sim.now());
 }
 
@@ -565,19 +576,18 @@ void load(Side<Net>& side, const Script& script) {
       case Step::kStart:
         side.sim.at(st.at, [&side, &st, tag] {
           side.flow_of[static_cast<std::size_t>(tag)] = side.net.start_flow(
-              st.path, st.bytes,
+              path_for(side.net, st.path), st.bytes,
               [&side, tag] { side.log.emplace_back(tag, side.sim.now()); });
         });
         break;
       case Step::kTransfer:
         side.sim.at(st.at, [&side, &st, tag] {
-          side.sim.spawn(plain_transfer(&side, st.path, st.bytes, tag));
+          side.sim.spawn(plain_transfer(&side, &st, tag));
         });
         break;
       case Step::kTimed:
         side.sim.at(st.at, [&side, &st, tag] {
-          side.sim.spawn(
-              timed_transfer(&side, st.path, st.bytes, st.timeout, tag));
+          side.sim.spawn(timed_transfer(&side, &st, tag));
         });
         break;
       case Step::kCancel:

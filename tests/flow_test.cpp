@@ -37,14 +37,12 @@ TEST(FlowNetwork, BytesAreConservedAcrossContendedTransfers) {
   for (int i = 0; i < 40; ++i) {
     const Bytes bytes = 1.0 + rng.uniform() * 5000.0;
     injected += bytes;
-    std::vector<ResourceId> path;
+    FlowPath path;
     if (i % 3 == 0) path = {a, c};
     else if (i % 3 == 1) path = {b};
     else path = {a, b, c};
     const SimTime when = rng.uniform() * 30.0;
-    s.at(when, [&net, path, bytes]() mutable {
-      net.start_flow(std::move(path), bytes, nullptr);
-    });
+    s.at(when, [&net, path, bytes] { net.start_flow(path, bytes, nullptr); });
   }
   s.run();
   EXPECT_EQ(net.active_flows(), 0u);
@@ -64,20 +62,32 @@ TEST(FlowNetwork, RejectsDegenerateFlows) {
   EXPECT_THROW(net.set_capacity(link, -5.0), Error);
 }
 
+// A path of five hops cannot be built, so it never reaches the network.
 TEST(FlowNetwork, RejectsPathsLongerThanFourHops) {
   Simulator s;
   FlowNetwork net(s);
-  std::vector<ResourceId> path;
+  std::vector<ResourceId> hops;
   for (int i = 0; i < 5; ++i) {
-    path.push_back(net.add_resource("hop" + std::to_string(i), 100.0));
+    hops.push_back(net.add_resource("hop" + std::to_string(i), 100.0));
   }
-  EXPECT_EQ(FlowNetwork::kMaxPathHops, 4u);
-  EXPECT_THROW(net.start_flow(path, 10.0, nullptr), Error);
-  EXPECT_THROW(net.start_flow(path, 0.0, nullptr), Error);
+  EXPECT_EQ(kMaxPathHops, 4u);
+  FlowPath path;
+  for (int i = 0; i < 4; ++i) path.push_back(hops[i]);
+  try {
+    path.push_back(hops[4]);
+    ADD_FAILURE() << "a fifth hop was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("flow path of 5 hops exceeds the 4-hop limit"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW((FlowPath{hops[0], hops[1], hops[2], hops[3], hops[4]}),
+               Error);
+  EXPECT_EQ(path.size(), 4u);  // the rejected hop left the path as it was
   EXPECT_EQ(net.active_flows(), 0u);
-  EXPECT_EQ(net.bytes_injected(), 0.0);  // rejected before anything counted
+  EXPECT_EQ(net.bytes_injected(), 0.0);
   // Four hops is the limit, not past it.
-  path.pop_back();
   SimTime done_at = -1.0;
   net.start_flow(path, 1000.0, [&] { done_at = s.now(); });
   s.run();
@@ -187,9 +197,9 @@ TEST(FlowNetwork, RejectsEmptyPathAndBadResource) {
   EXPECT_THROW(net.start_flow({99}, 10.0, nullptr), Error);
 }
 
-Task transfer_and_mark(FlowNetwork& net, std::vector<ResourceId> path,
-                       Bytes bytes, Simulator& s, SimTime& done_at) {
-  co_await net.transfer(std::move(path), bytes);
+Task transfer_and_mark(FlowNetwork& net, FlowPath path, Bytes bytes,
+                       Simulator& s, SimTime& done_at) {
+  co_await net.transfer(path, bytes);
   done_at = s.now();
 }
 
@@ -235,10 +245,10 @@ TEST(FlowNetwork, CancelFreesCapacityForSurvivors) {
   EXPECT_NEAR(done, 15.0, 1e-9);
 }
 
-Task timed_transfer(FlowNetwork& net, std::vector<ResourceId> path,
-                    Bytes bytes, SimTime timeout, bool* completed,
-                    Simulator& s, SimTime* finished_at) {
-  co_await net.transfer_within(std::move(path), bytes, timeout, completed);
+Task timed_transfer(FlowNetwork& net, FlowPath path, Bytes bytes,
+                    SimTime timeout, bool* completed, Simulator& s,
+                    SimTime* finished_at) {
+  co_await net.transfer_within(path, bytes, timeout, completed);
   *finished_at = s.now();
 }
 
@@ -286,10 +296,9 @@ TEST(FlowNetwork, ConservationHoldsWithCancellations) {
   for (int i = 0; i < 30; ++i) {
     const Bytes bytes = 50.0 + rng.uniform() * 3000.0;
     injected += bytes;
-    std::vector<ResourceId> path =
-        i % 2 == 0 ? std::vector<ResourceId>{a} : std::vector<ResourceId>{a, b};
-    s.at(rng.uniform() * 10.0, [&net, &ids, path, bytes]() mutable {
-      ids.push_back(net.start_flow(std::move(path), bytes, nullptr));
+    const FlowPath path = i % 2 == 0 ? FlowPath{a} : FlowPath{a, b};
+    s.at(rng.uniform() * 10.0, [&net, &ids, path, bytes] {
+      ids.push_back(net.start_flow(path, bytes, nullptr));
     });
   }
   // Cancel a scattering of flows mid-stream (whatever is active then).

@@ -2,6 +2,8 @@
 // profiling tracer (integration across cloud/fs/mpi/io).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "acic/common/error.hpp"
 #include "acic/io/middleware.hpp"
 #include "acic/io/runner.hpp"
@@ -175,6 +177,30 @@ TEST(RunnerTest, RejectsInvalidWorkload) {
   Workload w = small_workload();
   w.iterations = 0;
   EXPECT_THROW(run_workload(w, pvfs4(), quiet()), Error);
+}
+
+// Fault fields out of range with no rate to arm them are config errors,
+// not a clean run: nothing else checks them when no fault is injected.
+TEST(RunnerTest, RejectsOutOfRangeFaultFieldsThatNoRateArms) {
+  const auto rejection = [](const RunOptions& o) -> std::string {
+    try {
+      run_workload(small_workload(), pvfs4(), o);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  RunOptions brownout = quiet();
+  brownout.fault_model.brownout_fraction = 2.0;
+  ASSERT_FALSE(brownout.fault_model.any());
+  EXPECT_NE(rejection(brownout).find("invalid fault model"), std::string::npos)
+      << rejection(brownout);
+  RunOptions correlated = quiet();
+  correlated.fault_model.correlated_outage_probability = 0.5;
+  ASSERT_FALSE(correlated.fault_model.any());
+  EXPECT_NE(rejection(correlated).find("invalid fault model"),
+            std::string::npos)
+      << rejection(correlated);
 }
 
 TEST(TracerTest, InfersCharacteristicsFromRun) {

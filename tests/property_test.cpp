@@ -107,11 +107,11 @@ TEST_P(FlowCapacityTest, RatesRespectEveryCapacity) {
   }
   struct Live {
     sim::FlowId id;
-    std::vector<sim::ResourceId> path;
+    sim::FlowPath path;
   };
   std::vector<Live> flows;
   for (int f = 0; f < 24; ++f) {
-    std::vector<sim::ResourceId> path;
+    sim::FlowPath path;
     const std::size_t hops = 1 + rng.uniform_index(3);
     for (std::size_t h = 0; h < hops; ++h) {
       const auto r = resources[rng.uniform_index(resources.size())];

@@ -310,18 +310,33 @@ TEST(SyncTest, ConditionNotifyAllWakesEveryWaiter) {
   EXPECT_EQ(wakeups, 4);
 }
 
+Task wait_and_log(Simulator& s, Condition& c, SimTime arrive, int id,
+                  std::vector<int>& woke) {
+  co_await s.delay(arrive);
+  co_await c.wait();
+  woke.push_back(id);
+}
+
 TEST(SyncTest, ConditionNotifyOneWakesOldest) {
   Simulator s;
   Condition c(s);
-  int wakeups = 0;
-  for (int i = 0; i < 3; ++i) s.spawn(wait_on(c, wakeups));
+  std::vector<int> woke;
+  // Spawned as 0, 1, 2 but waiting from 0.3, 0.1 and 0.2 s: the oldest
+  // waiter is 1, then 2, then 0.
+  s.spawn(wait_and_log(s, c, 0.3, 0, woke));
+  s.spawn(wait_and_log(s, c, 0.1, 1, woke));
+  s.spawn(wait_and_log(s, c, 0.2, 2, woke));
   s.at(1.0, [&] { c.notify_one(); });
   s.run_until(2.0);
-  EXPECT_EQ(wakeups, 1);
+  EXPECT_EQ(woke, (std::vector<int>{1}));
   EXPECT_EQ(c.waiter_count(), 2u);
+  c.notify_one();
+  s.run_until(3.0);
+  EXPECT_EQ(woke, (std::vector<int>{1, 2}));
+  EXPECT_EQ(c.waiter_count(), 1u);
   c.notify_all();
   s.run();
-  EXPECT_EQ(wakeups, 3);
+  EXPECT_EQ(woke, (std::vector<int>{1, 2, 0}));
 }
 
 Task use_semaphore(Simulator& s, Semaphore& sem, SimTime hold, int& active,
@@ -344,6 +359,37 @@ TEST(SyncTest, SemaphoreLimitsConcurrency) {
   // 6 holders of 1s each through 2 permits -> 3 serial rounds.
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
   EXPECT_EQ(sem.available(), 2u);
+}
+
+Task hold_in_turn(Simulator& s, Semaphore& sem, SimTime arrive, int id,
+                  std::vector<int>& order) {
+  co_await s.delay(arrive);
+  co_await sem.acquire();
+  order.push_back(id);
+  co_await s.delay(1.0);
+  sem.release();
+}
+
+TEST(SyncTest, SemaphoreHandsPermitsOverInArrivalOrder) {
+  // One permit, held 1 s at a time.  Holder `id` arrives at 0.375 x id s,
+  // so from the second arrival on the queue never drains: it grows to
+  // ~25 waiters while the oldest are served, wrapping its storage.  The
+  // holders are spawned in a scrambled order and must still get the
+  // permit in arrival order.
+  Simulator s;
+  Semaphore sem(s, 1);
+  constexpr int kHolders = 40;
+  std::vector<int> order;
+  for (int k = 0; k < kHolders; ++k) {
+    const int id = (k * 17) % kHolders;  // a permutation: gcd(17, 40) = 1
+    s.spawn(hold_in_turn(s, sem, 0.375 * id, id, order));
+  }
+  s.run();
+  std::vector<int> arrival_order(kHolders);
+  for (int id = 0; id < kHolders; ++id) arrival_order[id] = id;
+  EXPECT_EQ(order, arrival_order);
+  EXPECT_DOUBLE_EQ(s.now(), static_cast<double>(kHolders));
+  EXPECT_EQ(sem.available(), 1u);
 }
 
 Task barrier_participant(Simulator& s, Barrier& b, SimTime arrive_at,
