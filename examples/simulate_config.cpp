@@ -161,9 +161,10 @@ int main(int argc, char** argv) {
         ++positional;
       }
     }
-    // Before any lookup: the run cache keys drop fault fields that no
-    // rate arms, so a warm cache would answer an out-of-range one.
+    // Before any lookup, as a plain error: the executor refuses these
+    // too, but as a contract failure naming its source line.
     if (!opts.fault_model.valid()) throw Error("invalid fault model");
+    if (!opts.tuning.retry.valid()) throw Error("invalid retry policy");
 
     const auto w = app_by_name(app, np);
     auto candidates = ssd ? cloud::IoConfig::enumerate_candidates_with_ssd()

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "acic/common/check.hpp"
 #include "acic/common/parallel.hpp"
 #include "acic/obs/metrics.hpp"
 
@@ -154,6 +155,15 @@ void Executor::note_memo_footprint_locked() {
 }
 
 io::RunResult Executor::run(const RunRequest& request, RunInfo* info) {
+  // Reject what the simulator rejects before any cache tier can answer
+  // it, with the simulator's texts: RunKey hashes a disabled retry
+  // policy's fields not at all, so a warm cache would otherwise answer a
+  // request that fails cold.
+  ACIC_CHECK_MSG(request.options.fault_model.valid(), "invalid fault model");
+  ACIC_CHECK_MSG(request.options.checkpoint.valid(),
+                 "invalid checkpoint policy");
+  ACIC_CHECK_MSG(request.options.tuning.retry.valid(), "invalid retry policy");
+
   // A traced run's value is the trace itself; answering it from cache
   // would silently skip the tap.  Cache-disabled executors pass through.
   if (!options_.cache || request.options.tracer != nullptr) {

@@ -166,9 +166,11 @@ class RunStore {
   /// (`sim_epoch=N`).  Bump it with any model or solver change that moves
   /// a simulated result (tests/golden_results.inc pins them under it), so
   /// rows simulated by other semantics are sidelined instead of answering
-  /// as current.  Epoch 1 (no cell) was the per-flow solver; 2 is the
-  /// path-group solver.
-  static constexpr int kSimEpoch = 2;
+  /// as current.  Epoch 1 (no cell) was the per-flow solver, 2 the
+  /// path-group solver; 3 runs completion callbacks inside the
+  /// completion event and fuses back-to-back waits, which moved only
+  /// `sim_events`.
+  static constexpr int kSimEpoch = 3;
   static constexpr const char* kLockFileName = ".store.lock";
 
  private:

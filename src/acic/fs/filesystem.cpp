@@ -38,11 +38,10 @@ sim::Task FileSystem::resilient_transfer(cloud::ClusterModel& cluster,
       ++fault_stats_.failed_requests;
       co_return;
     }
-    bool completed = false;
     const SimTime started = sim.now();
-    co_await cluster.network().transfer_within(path, bytes, window,
-                                               &completed);
-    if (completed) co_return;
+    if (co_await cluster.network().transfer_within(path, bytes, window)) {
+      co_return;
+    }
     ++fault_stats_.timeouts;
     fault_stats_.stalled_time += sim.now() - started;
     if (attempt + 1 >= retry_.max_attempts) {

@@ -51,15 +51,17 @@ sim::Task NfsModel::request(int rank, Bytes bytes, bool is_write,
   account(bytes, op_weight);
   auto& sim = cluster_.simulator();
 
-  // Client-side software cost.
-  co_await sim.delay(kClientOverhead * op_weight);
+  // Client-side software cost, the RPC and, for concurrent writers to
+  // one file, the fight over attribute/lock state: back-to-back delays,
+  // waited out as one, summed in the order they are paid.
+  SimTime ready = sim.now() + kClientOverhead * op_weight;
   if (!cluster_.rank_colocated_with_server(rank, kServer)) {
-    co_await sim.delay(cluster_.network_rpc_latency() * op_weight);
+    ready = ready + cluster_.network_rpc_latency() * op_weight;
   }
   if (is_write && shared_file) {
-    // Concurrent writers to one file fight over attribute/lock state.
-    co_await sim.delay(kSharedWritePenalty * op_weight);
+    ready = ready + kSharedWritePenalty * op_weight;
   }
+  co_await sim.until(ready);
 
   drain_to_now();
   const bool absorbed =
@@ -88,10 +90,9 @@ sim::Task NfsModel::request(int rank, Bytes bytes, bool is_write,
     latency_factor = absorbed ? 0.0 : kWriteLatencyFactor;
   }
   auto& queue = cluster_.server_op_queue(kServer);
-  co_await queue.acquire();
-  co_await sim.delay((kServerOverhead +
-                      cluster_.device_latency(kServer) * latency_factor) *
-                     op_weight);
+  co_await queue.hold((kServerOverhead +
+                       cluster_.device_latency(kServer) * latency_factor) *
+                      op_weight);
   queue.release();
 
   // Payload transfer (deadline/retry-aware when the policy is armed).
@@ -118,8 +119,7 @@ sim::Task NfsModel::metadata_op(int rank, SimTime cost) {
     co_await sim.delay(cluster_.network_rpc_latency());
   }
   auto& queue = cluster_.server_op_queue(kServer);
-  co_await queue.acquire();
-  co_await sim.delay(cost);
+  co_await queue.hold(cost);
   queue.release();
 }
 

@@ -39,10 +39,9 @@ sim::Task StripedModel::server_chunk(int rank, int server, Bytes bytes,
   const double latency_factor = is_write ? costs_.write_latency_factor
                                          : costs_.read_latency_factor;
   auto& queue = cluster_.server_op_queue(server);
-  co_await queue.acquire();
-  co_await sim.delay((costs_.server_overhead +
-                      cluster_.device_latency(server) * latency_factor) *
-                     op_weight);
+  co_await queue.hold((costs_.server_overhead +
+                       cluster_.device_latency(server) * latency_factor) *
+                      op_weight);
   queue.release();
   const sim::FlowPath path = is_write ? cluster_.write_path(rank, server)
                                       : cluster_.read_path(rank, server);
@@ -111,8 +110,7 @@ sim::Task StripedModel::metadata_op(int rank, SimTime cost) {
     co_await sim.delay(cluster_.network_rpc_latency());
   }
   auto& queue = cluster_.server_op_queue(kMetadataServer);
-  co_await queue.acquire();
-  co_await sim.delay(cost);
+  co_await queue.hold(cost);
   queue.release();
 }
 

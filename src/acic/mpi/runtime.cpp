@@ -21,8 +21,7 @@ double Runtime::log2_ranks() const {
 }
 
 sim::Task Runtime::barrier() {
-  co_await barrier_impl_.arrive_and_wait();
-  co_await cluster_.simulator().delay(alpha() * log2_ranks());
+  co_await barrier_impl_.arrive_and_wait(alpha() * log2_ranks());
 }
 
 sim::Task Runtime::send(int from, int to, Bytes bytes) {

@@ -225,7 +225,7 @@ void Server::worker_main() {
             std::chrono::steady_clock::now() - item.request.received_at)
             .count();
     metrics_.request_latency_us->observe(latency_us);
-    push_completion({item.conn_id, std::move(response)});
+    push_completion({item.conn_id, item.seq, std::move(response)});
     wake_loop();
   }
 }
@@ -363,23 +363,23 @@ void Server::accept_ready() {
 void Server::dispatch_or_shed(Conn& conn, std::string payload) {
   metrics_.requests->inc();
   const auto received_at = std::chrono::steady_clock::now();
+  const std::uint64_t seq = conn.next_frame++;
   bool queued = false;
   {
     MutexLock lock(&queue_mutex_);
     if (work_queue_.size() < options_.max_queue_depth) {
       work_queue_.push_back(
-          WorkItem{conn.id, Request{std::move(payload), received_at}});
+          WorkItem{conn.id, seq, Request{std::move(payload), received_at}});
       queued = true;
     }
   }
   if (queued) {
-    conn.in_dispatch++;
     work_available_.notify_one();
   } else {
     // The dispatch queue is the one overload gate: a full queue sheds
     // with a typed response the client can branch on.
     metrics_.queue_shed->inc();
-    queue_response(conn, "shed server work queue full; retry later\n");
+    answer(conn, seq, "shed server work queue full; retry later\n");
   }
 }
 
@@ -417,7 +417,7 @@ void Server::conn_readable(Conn& conn) {
       if (result.status == FrameDecoder::Status::kError) {
         // Strict parser: one typed error response, then done reading.
         metrics_.protocol_errors->inc();
-        queue_response(conn, "error net " + result.error + "\n");
+        answer(conn, conn.next_frame++, "error net " + result.error + "\n");
         conn.read_closed = true;
         conn.close_after_flush = true;
         break;
@@ -429,7 +429,7 @@ void Server::conn_readable(Conn& conn) {
     // Backpressure: stop reading while this connection owes us drain.
     const bool paused =
         conn.outbuf.size() - conn.out_offset > options_.max_output_bytes ||
-        conn.in_dispatch >= options_.max_pipeline;
+        conn.unanswered() >= options_.max_pipeline;
     if (paused) {
       if (conn.want_read) metrics_.backpressure_pauses->inc();
       conn.want_read = false;
@@ -446,12 +446,28 @@ void Server::conn_readable(Conn& conn) {
   } else {
     conn.mid_frame = false;
   }
-  if (conn.close_after_flush && conn.in_dispatch == 0 &&
+  if (conn.close_after_flush && conn.unanswered() == 0 &&
       conn.out_offset == conn.outbuf.size()) {
     close_conn(conn.id);
     return;
   }
   update_interest(conn);
+}
+
+void Server::answer(Conn& conn, std::uint64_t seq, std::string payload) {
+  if (seq != conn.next_answer) {
+    conn.held.emplace(seq, std::move(payload));
+    return;
+  }
+  queue_response(conn, payload);
+  ++conn.next_answer;
+  // Release the answers that were waiting on this one.
+  for (auto it = conn.held.begin();
+       it != conn.held.end() && it->first == conn.next_answer;
+       it = conn.held.erase(it)) {
+    queue_response(conn, it->second);
+    ++conn.next_answer;
+  }
 }
 
 void Server::queue_response(Conn& conn, std::string_view payload) {
@@ -493,7 +509,7 @@ void Server::flush_some(Conn& conn) {
 
 void Server::conn_writable(Conn& conn) {
   flush_some(conn);
-  if (conn.close_after_flush && conn.in_dispatch == 0 &&
+  if (conn.close_after_flush && conn.unanswered() == 0 &&
       conn.out_offset == conn.outbuf.size()) {
     close_conn(conn.id);
     return;
@@ -501,7 +517,7 @@ void Server::conn_writable(Conn& conn) {
   // Output drained below the watermark: resume reading.
   if (!conn.read_closed && !drain_started_ && !conn.want_read &&
       conn.outbuf.size() - conn.out_offset <= options_.max_output_bytes &&
-      conn.in_dispatch < options_.max_pipeline) {
+      conn.unanswered() < options_.max_pipeline) {
     conn.want_read = true;
   }
   update_interest(conn);
@@ -547,7 +563,7 @@ void Server::begin_drain() {
   for (auto& [id, conn] : conns_) {
     conn->read_closed = true;
     conn->close_after_flush = true;
-    if (conn->in_dispatch == 0 &&
+    if (conn->unanswered() == 0 &&
         conn->out_offset == conn->outbuf.size()) {
       idle.push_back(id);
     } else {
@@ -574,7 +590,7 @@ void Server::sweep_deadlines(std::chrono::steady_clock::time_point now) {
       doomed_idle.push_back(id);
       continue;
     }
-    if (!output_pending && conn->in_dispatch == 0 && !conn->read_closed &&
+    if (!output_pending && conn->unanswered() == 0 && !conn->read_closed &&
         now - conn->last_progress > budget) {
       doomed_idle.push_back(id);
     }
@@ -599,20 +615,20 @@ void Server::drain_completions() {
     const auto it = conns_.find(c.conn_id);
     if (it == conns_.end()) continue;  // connection died mid-request
     Conn& conn = *it->second;
-    ACIC_DCHECK(conn.in_dispatch > 0, "completion without a dispatch");
-    if (conn.in_dispatch > 0) conn.in_dispatch--;
-    queue_response(conn, c.response);
-    const auto again = conns_.find(c.conn_id);
-    if (again == conns_.end()) continue;
-    if (conn.close_after_flush && conn.in_dispatch == 0 &&
+    ACIC_DCHECK(c.seq >= conn.next_answer && c.seq < conn.next_frame,
+                "completion for frame " << c.seq << " outside the unanswered "
+                                        << conn.next_answer << ".."
+                                        << conn.next_frame);
+    answer(conn, c.seq, std::move(c.response));
+    if (conn.close_after_flush && conn.unanswered() == 0 &&
         conn.out_offset == conn.outbuf.size()) {
       close_conn(c.conn_id);
       continue;
     }
-    // A completed request frees pipeline budget: maybe resume reading.
+    // Answered frames free pipeline budget: maybe resume reading.
     if (!conn.read_closed && !drain_started_ && !conn.want_read &&
         conn.outbuf.size() - conn.out_offset <= options_.max_output_bytes &&
-        conn.in_dispatch < options_.max_pipeline) {
+        conn.unanswered() < options_.max_pipeline) {
       conn.want_read = true;
       update_interest(conn);
     }

@@ -8,7 +8,12 @@
 // queue, responses flow back through the completion queue plus a wake
 // byte on an AF_UNIX socketpair.  Connections are addressed by a
 // monotonically increasing id, never by pointer, so a completion for a
-// connection that died mid-request is silently dropped.
+// connection that died mid-request is silently dropped.  Responses leave
+// in request order: the protocol carries no request id, so each frame a
+// connection sends gets a sequence number, and an answer that is ready
+// before an earlier one (a fast request behind a slow one on another
+// worker, or a shed or error frame behind a queued request) waits on the
+// connection until every earlier answer has gone out.
 //
 // Robustness budgets (all per ServerOptions, all metered in `net.*`):
 //
@@ -23,8 +28,9 @@
 //  * Write-stall defense — a peer that stops draining its responses for
 //    `idle_timeout_ms` while output is pending is disconnected.
 //  * Backpressure — while a connection's output buffer exceeds
-//    `max_output_bytes`, or it has `max_pipeline` requests in flight,
-//    the loop stops *reading* from it (EPOLLIN off).  Memory per
+//    `max_output_bytes`, or it has `max_pipeline` frames unanswered
+//    (in flight, or answered and waiting for an earlier answer), the
+//    loop stops *reading* from it (EPOLLIN off).  Memory per
 //    connection is bounded; a fast requester is throttled to its own
 //    drain rate instead of growing the heap.
 //  * Bounded dispatch — the worker pool caps concurrent handler calls,
@@ -49,6 +55,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,7 +85,7 @@ struct ServerOptions {
   long drain_timeout_ms = 5000;
   /// Per-connection output-buffer high watermark (backpressure).
   std::size_t max_output_bytes = 256 * 1024;
-  /// Per-connection requests dispatched but unanswered (pipelining cap).
+  /// Per-connection frames read but not yet answered (pipelining cap).
   std::size_t max_pipeline = 32;
   /// Bounded work queue between the loop and the workers; requests
   /// beyond it are shed with a typed response.
@@ -126,7 +133,13 @@ class Server {
     FrameDecoder decoder;
     std::string outbuf;          ///< encoded frames awaiting send()
     std::size_t out_offset = 0;  ///< sent prefix of outbuf
-    std::size_t in_dispatch = 0; ///< requests handed to workers
+    /// Sequence number of the next frame read and of the next answer to
+    /// queue for sending: frames [next_answer, next_frame) are
+    /// unanswered.
+    std::uint64_t next_frame = 0;
+    std::uint64_t next_answer = 0;
+    /// Answers ready before an earlier one, by sequence number.
+    std::map<std::uint64_t, std::string> held;
     bool want_read = true;       ///< EPOLLIN currently armed
     bool want_write = false;     ///< EPOLLOUT currently armed
     bool read_closed = false;    ///< peer half-closed or we stopped reading
@@ -137,14 +150,18 @@ class Server {
     bool mid_frame = false;
 
     explicit Conn(std::size_t max_frame) : decoder(max_frame) {}
+
+    std::uint64_t unanswered() const { return next_frame - next_answer; }
   };
 
   struct WorkItem {
     std::uint64_t conn_id = 0;
+    std::uint64_t seq = 0;  ///< the frame's sequence number on its conn
     Request request;
   };
   struct Completion {
     std::uint64_t conn_id = 0;
+    std::uint64_t seq = 0;
     std::string response;
   };
 
@@ -152,6 +169,9 @@ class Server {
   void accept_ready();
   void conn_readable(Conn& conn);
   void conn_writable(Conn& conn);
+  /// Answer frame `seq`: queue it for sending once every earlier frame's
+  /// answer is queued, together with any later ones it held up.
+  void answer(Conn& conn, std::uint64_t seq, std::string payload);
   void queue_response(Conn& conn, std::string_view payload);
   void flush_some(Conn& conn);
   void update_interest(Conn& conn);

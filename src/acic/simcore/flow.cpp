@@ -132,50 +132,29 @@ FlowId FlowNetwork::admit(const FlowPath& path, Bytes bytes,
   return id;
 }
 
-Task FlowNetwork::transfer_within(FlowPath path, Bytes bytes, SimTime timeout,
-                                  bool* completed) {
-  ACIC_EXPECTS(timeout > 0.0, "non-positive transfer timeout " << timeout);
-  ACIC_EXPECTS(completed != nullptr,
-               "transfer_within needs a completion out-param");
-  // Completion and timeout race on the event queue; whichever fires first
-  // settles the state, disarms the other, and resumes the waiter exactly
-  // once.  Both callbacks capture the shared_ptr by value, so the state
-  // outlives the coroutine frame even if the loser fires after the frame
-  // is gone (e.g. completion event and timer landing on one timestamp:
-  // the completion sweep has already queued on_complete as a separate
-  // event when the timer fires first).
-  struct TimedState {
-    bool settled = false;
-    bool flow_done = false;
-    EventId timer = 0;
-    std::coroutine_handle<> waiter;
-  };
-  auto state = std::make_shared<TimedState>();
-  const FlowId flow = start_flow(path, bytes, [this, state] {
-    if (state->settled) return;  // the timeout won this timestamp's race
-    state->settled = true;
-    state->flow_done = true;
-    if (state->timer != 0) sim_.cancel(state->timer);
-    if (state->waiter) state->waiter.resume();
-  });
-  // Safe to arm after start_flow: callbacks only fire once control
-  // returns to the event loop, so `state->timer` is always set by then.
-  state->timer = sim_.in(timeout, [this, state, flow] {
-    if (state->settled) return;  // the flow completed first
-    state->settled = true;
-    cancel_flow(flow);
-    if (state->waiter) state->waiter.resume();
-  });
-  // Raw pointer for the awaiter (trivially destructible, see task.hpp);
-  // the `state` local keeps the TimedState alive across the suspension.
-  struct Awaiter {
-    TimedState* state;
-    bool await_ready() const noexcept { return state->settled; }
-    void await_suspend(std::coroutine_handle<> h) { state->waiter = h; }
-    void await_resume() const noexcept {}
-  };
-  co_await Awaiter{state.get()};
-  *completed = state->flow_done;
+void FlowNetwork::TimedTransfer::await_suspend(std::coroutine_handle<> h) {
+  waiter_ = h;
+  // The flow first, then the timer: the order the events were always
+  // scheduled in.
+  flow_ = net_->admit(path_, bytes_, [this] { flow_done(); });
+  timer_ = net_->sim_.at(deadline_, [this] { timed_out(); });
+}
+
+void FlowNetwork::TimedTransfer::flow_done() {
+  // A flow the completion event finishes on the deadline's own instant
+  // loses to the timer, which fires later in this instant, as it did
+  // while each completion callback was an event queued behind every
+  // pending one; the timer's cancel_flow() is then a no-op.  A zero-byte
+  // flow completes through an event queued ahead of the timer and wins.
+  if (deadline_ == net_->sim_.now() && bytes_ > kEpsilonBytes) return;
+  net_->sim_.cancel(timer_);
+  completed_ = true;
+  waiter_.resume();
+}
+
+void FlowNetwork::TimedTransfer::timed_out() {
+  net_->cancel_flow(flow_);  // drops the flow's callback with it
+  waiter_.resume();
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
@@ -365,7 +344,10 @@ void FlowNetwork::recompute_rates() {
 }
 
 void FlowNetwork::schedule_next_completion() {
-  ++generation_;
+  if (completion_event_ != 0) {
+    sim_.cancel(completion_event_);
+    completion_event_ = 0;
+  }
   if (active_count_ == 0) return;
   const SimTime min_eta = next_eta_;
   if (!std::isfinite(min_eta)) return;  // everything stalled (failure)
@@ -376,12 +358,11 @@ void FlowNetwork::schedule_next_completion() {
   if (target <= now) {
     target = std::nextafter(now, std::numeric_limits<SimTime>::infinity());
   }
-  const std::uint64_t gen = generation_;
-  sim_.at(target, [this, gen] { handle_completion_event(gen); });
+  completion_event_ = sim_.at(target, [this] { handle_completion_event(); });
 }
 
-void FlowNetwork::handle_completion_event(std::uint64_t generation) {
-  if (generation != generation_) return;  // superseded by a newer solve
+void FlowNetwork::handle_completion_event() {
+  completion_event_ = 0;  // firing now
   advance();
   // Within a group every member has the same rate, so the finished ones
   // are the heap's smallest finish tags.
@@ -412,12 +393,16 @@ void FlowNetwork::handle_completion_event(std::uint64_t generation) {
   recompute_rates();
   ACIC_DCHECK(rates_feasible(), "max-min solve oversubscribed a resource");
   schedule_next_completion();
-  // Callbacks are queued after the new completion event, in admission
-  // order.
-  const SimTime now = sim_.now();
+  // The network is consistent again: run the callbacks here, in admission
+  // order.  A callback may start or cancel flows, which re-solves and
+  // re-arms, but no callback can fire another completion event, so done_
+  // holds still while it is walked.  Each slot is freed before its
+  // callback runs, and the callback is moved out first, since a flow the
+  // callback starts may take the slot or grow callbacks_.
   for (const Tag& t : done_) {
-    if (callbacks_[t.slot]) sim_.at(now, std::move(callbacks_[t.slot]));
+    const std::function<void()> callback = std::move(callbacks_[t.slot]);
     free_slot(t.slot);
+    if (callback) callback();
   }
   done_.clear();
 }

@@ -24,6 +24,12 @@
 // next completion therefore cost O(active groups), not O(active flows),
 // and a completion pops heap tops.  No solve allocates.
 //
+// The network keeps at most one pending completion event: a re-solve
+// cancels it and arms the new one.  When it fires it retires the finished
+// flows, re-solves and re-arms, and only then runs their callbacks, in
+// admission order, inside the same event.  A callback may start or cancel
+// flows; it sees a consistent network.
+//
 // The result is the max-min allocation up to floating-point rounding: a
 // group deducts `count x share` at once where a per-flow loop deducts
 // `share` count times, and bytes left are a difference of two clocks.
@@ -42,7 +48,6 @@
 #include <functional>
 #include <initializer_list>
 #include <limits>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -127,6 +132,37 @@ class FlowNetwork {
   // Awaiter temporaries must be trivially destructible (see task.hpp).
   static_assert(std::is_trivially_destructible_v<Transfer>);
 
+  /// Awaitable of transfer_within(): `co_await` yields true when the flow
+  /// completed and false when the deadline cut it off.  Its state lives
+  /// in the awaiter, in the caller's frame, and both the flow's callback
+  /// and the timer point at it: whichever fires first disarms the other,
+  /// and no completion callback outlives the completion event, so
+  /// neither can reach a frame that has moved on.
+  class [[nodiscard]] TimedTransfer {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    bool await_resume() const noexcept { return completed_; }
+
+   private:
+    friend class FlowNetwork;
+    TimedTransfer(FlowNetwork* net, const FlowPath& path, Bytes bytes,
+                  SimTime deadline)
+        : net_(net), path_(path), bytes_(bytes), deadline_(deadline) {}
+    void flow_done();
+    void timed_out();
+
+    FlowNetwork* net_;
+    FlowPath path_;
+    Bytes bytes_;
+    SimTime deadline_;
+    FlowId flow_ = kInvalidFlow;
+    EventId timer_ = 0;
+    std::coroutine_handle<> waiter_;
+    bool completed_ = false;
+  };
+  static_assert(std::is_trivially_destructible_v<TimedTransfer>);
+
   explicit FlowNetwork(Simulator& sim) : sim_(sim) {}
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
@@ -140,9 +176,11 @@ class FlowNetwork {
 
   double capacity(ResourceId id) const;
 
-  /// Begin transferring `bytes` across `path`; `on_complete` fires through
-  /// the event queue when the transfer finishes.  Zero-byte transfers
-  /// complete immediately.  The path must be non-empty and duplicate-free
+  /// Begin transferring `bytes` across `path`; `on_complete` runs inside
+  /// the completion event that finishes the transfer, after the network
+  /// has re-solved, in admission order among the flows finishing at that
+  /// instant.  A zero-byte transfer completes through one event at the
+  /// current time instead.  The path must be non-empty and duplicate-free
   /// and name known resources.
   FlowId start_flow(const FlowPath& path, Bytes bytes,
                     std::function<void()> on_complete);
@@ -155,15 +193,21 @@ class FlowNetwork {
     return Transfer(this, path, bytes);
   }
 
-  /// Deadline-bounded transfer: suspends until the flow completes or
-  /// `timeout` seconds elapse, whichever comes first.  On timeout the
-  /// flow is cancelled (its undelivered bytes are abandoned, see
-  /// `bytes_cancelled()`) and `*completed` is set false; on completion
-  /// the timer is cancelled and `*completed` is set true.  The client
-  /// observing a timed-out request maps to the paper's "lost connection
-  /// to an I/O server": the payload is gone and must be re-sent.
-  Task transfer_within(FlowPath path, Bytes bytes, SimTime timeout,
-                       bool* completed);
+  /// Deadline-bounded transfer: `co_await net.transfer_within(path,
+  /// bytes, timeout)` suspends until the flow completes or `timeout`
+  /// seconds elapse, whichever comes first.  On completion the timer is
+  /// cancelled and the await yields true; on timeout the flow is
+  /// cancelled (its undelivered bytes are abandoned, see
+  /// `bytes_cancelled()`) and it yields false.  A flow that finishes on
+  /// the deadline's own instant times out.  The client observing a
+  /// timed-out request maps to the paper's "lost connection to an I/O
+  /// server": the payload is gone and must be re-sent.
+  TimedTransfer transfer_within(const FlowPath& path, Bytes bytes,
+                                SimTime timeout) {
+    ACIC_EXPECTS(timeout > 0.0, "non-positive transfer timeout " << timeout);
+    check_flow(path, bytes);
+    return TimedTransfer(this, path, bytes, sim_.now() + timeout);
+  }
 
   /// Abort an active flow: its remaining bytes are dropped (credited to
   /// `bytes_cancelled()`), rates are re-solved, and its on_complete never
@@ -280,9 +324,10 @@ class FlowNetwork {
   bool bytes_conserved() const;
   /// Allocation feasibility: no resource carries more than its capacity.
   bool rates_feasible() const;
-  /// (Re)arm the single pending completion event.
+  /// Re-arm the single pending completion event: cancel the one armed by
+  /// the last solve and schedule the next completion, if any.
   void schedule_next_completion();
-  void handle_completion_event(std::uint64_t generation);
+  void handle_completion_event();
 
   Simulator& sim_;
   std::vector<Resource> resources_;
@@ -315,7 +360,8 @@ class FlowNetwork {
   /// the last solve (infinity when every flow is stalled).
   SimTime next_eta_ = std::numeric_limits<SimTime>::infinity();
   SimTime last_update_ = 0.0;
-  std::uint64_t generation_ = 0;
+  /// The pending completion event (0 when none is armed).
+  EventId completion_event_ = 0;
   FlowId next_flow_id_ = 1;
   Bytes bytes_delivered_ = 0.0;
   Bytes bytes_injected_ = 0.0;

@@ -110,19 +110,31 @@ class Simulator {
   /// time arithmetic upstream, not a request to travel backwards.
   auto delay(SimTime dt) {
     ACIC_DCHECK(dt >= 0.0, "negative delay " << dt);
-    struct Awaiter {
-      Simulator& sim;
-      SimTime dt;
-      bool await_ready() const noexcept { return dt <= 0.0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim.in(dt, [h] { h.resume(); });
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, dt};
+    return Wakeup{*this, now_ + dt, dt <= 0.0};
   }
 
+  /// Awaitable for `co_await simulator.until(t)`: resumes the process at
+  /// absolute virtual time `t`, at once when `t` is not in the future.
+  /// Delays that follow one another with nothing observable in between
+  /// fuse into one wait on the instant they end, summed with the
+  /// additions the delays make (`t = now() + dt1`, then `t = t + dt2`,
+  /// ...), so the process resumes at the same time through one event.
+  auto until(SimTime t) { return Wakeup{*this, t, t <= now_}; }
+
  private:
+  /// Awaiter of delay() and until(): resumes the process at `t` through
+  /// one event, or without suspending when `ready`.
+  struct Wakeup {
+    Simulator& sim;
+    SimTime t;
+    bool ready;
+    bool await_ready() const noexcept { return ready; }
+    void await_suspend(std::coroutine_handle<> h) {
+      sim.at(t, [h] { h.resume(); });
+    }
+    void await_resume() const noexcept {}
+  };
+
   /// One arena slot.  `heap_pos` is the intrusive back-pointer into
   /// `heap_` that makes cancel() O(log n): the slot knows where it sits,
   /// so unlinking never searches.

@@ -93,6 +93,42 @@ TEST(FlowNetwork, WarmTransfersAllocateNothing) {
   EXPECT_NEAR(net.bytes_delivered(), 1200 * 750.0, 1e-3);
 }
 
+Task back_to_back_timed_transfers(FlowNetwork& net, FlowPath path, int warm,
+                                  int counted, std::size_t* allocs,
+                                  int* timeouts) {
+  // 0, 500, 1000 and 1500 bytes at 50 B/s against a 25 s deadline: the
+  // 1500-byte transfers time out, the rest complete and cancel the timer.
+  for (int i = 0; i < warm; ++i) {
+    co_await net.transfer_within(path, (i % 4) * 500.0, 25.0);
+  }
+  arm();
+  for (int i = 0; i < counted; ++i) {
+    if (!co_await net.transfer_within(path, (i % 4) * 500.0, 25.0)) {
+      ++*timeouts;
+    }
+  }
+  *allocs = disarm();
+}
+
+// A deadline-bounded transfer keeps its state in the awaiter, and both the
+// flow's callback and the timer capture only a pointer to it, so warm
+// timed transfers, completing or timing out, allocate nothing either.
+TEST(FlowNetwork, WarmTimedTransfersAllocateNothing) {
+  Simulator s;
+  FlowNetwork net(s);
+  const FlowPath path{net.add_resource("nic", 100.0),
+                      net.add_resource("disk", 50.0)};
+  std::size_t allocs = 1;
+  int timeouts = 0;
+  s.spawn(back_to_back_timed_transfers(net, path, 200, 1000, &allocs,
+                                       &timeouts));
+  s.run();
+  EXPECT_TRUE(s.all_processes_done());
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(timeouts, 250);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
 Task wait_rounds(Condition& c, int rounds, int* wakeups) {
   for (int k = 0; k < rounds; ++k) {
     co_await c.wait();

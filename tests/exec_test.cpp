@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "acic/cloud/ioconfig.hpp"
+#include "acic/common/error.hpp"
 #include "acic/exec/executor.hpp"
 #include "acic/exec/runkey.hpp"
 #include "acic/exec/store.hpp"
@@ -326,6 +327,57 @@ TEST(ExecutorCacheTest, FailedRunsAreCachedAsFailures) {
   // ...and keeps its grade: a warm hit can never surface as a timing.
   EXPECT_EQ(cold.outcome, io::RunOutcome::kFailed);
   EXPECT_EQ(warm.outcome, io::RunOutcome::kFailed);
+}
+
+// A request the simulator rejects is rejected warm as well as cold.  A
+// disabled retry policy's fields are not part of the RunKey, so a zero
+// timeout without retry keys like a clean run whose result is cached in
+// both tiers; the executor must still refuse it, with the simulator's
+// text.
+TEST(ExecutorCacheTest, InvalidPolicyIsRejectedWhenItsKeyIsWarm) {
+  TempDir dir("invalid");
+  const exec::RunRequest clean{test_workload(), cloud::IoConfig::baseline(),
+                               io::RunOptions{}};
+  exec::RunRequest bad = clean;
+  bad.options.tuning.retry.request_timeout = 0.0;
+  ASSERT_FALSE(bad.options.tuning.retry.enabled);
+  ASSERT_EQ(exec::run_key(bad.workload, bad.config, bad.options),
+            exec::run_key(clean.workload, clean.config, clean.options));
+  const auto rejection = [&bad](exec::Executor& executor) -> std::string {
+    try {
+      executor.run(bad);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // Cold, against the real simulator.
+  exec::Executor cold;
+  const std::string cold_error = rejection(cold);
+  EXPECT_NE(cold_error.find("invalid retry policy"), std::string::npos)
+      << cold_error;
+  // Warm in the memo tier.
+  FakeEngine warm(dir.str());
+  warm.executor.run(clean);
+  const std::string memo_error = rejection(warm.executor);
+  EXPECT_NE(memo_error.find("invalid retry policy"), std::string::npos)
+      << memo_error;
+  // Warm in the store tier of a fresh executor.
+  FakeEngine reader(dir.str());
+  const std::string store_error = rejection(reader.executor);
+  EXPECT_NE(store_error.find("invalid retry policy"), std::string::npos)
+      << store_error;
+  EXPECT_EQ(warm.executions.load(), 1);
+  EXPECT_EQ(reader.executions.load(), 0);
+  // The other two policies are checked up front the same way.
+  exec::RunRequest bad_faults = clean;
+  bad_faults.options.fault_model.brownout_fraction = 2.0;
+  EXPECT_THROW(warm.executor.run(bad_faults), Error);
+  exec::RunRequest bad_checkpoint = clean;
+  bad_checkpoint.options.checkpoint.enabled = true;
+  bad_checkpoint.options.checkpoint.interval = 0.0;
+  EXPECT_THROW(warm.executor.run(bad_checkpoint), Error);
+  EXPECT_EQ(warm.executions.load(), 1);
 }
 
 TEST(ExecutorCacheTest, TracedRunsBypassTheCache) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "acic/common/error.hpp"
@@ -248,7 +249,7 @@ TEST(FlowNetwork, CancelFreesCapacityForSurvivors) {
 Task timed_transfer(FlowNetwork& net, FlowPath path, Bytes bytes,
                     SimTime timeout, bool* completed, Simulator& s,
                     SimTime* finished_at) {
-  co_await net.transfer_within(path, bytes, timeout, completed);
+  *completed = co_await net.transfer_within(path, bytes, timeout);
   *finished_at = s.now();
 }
 
@@ -283,6 +284,72 @@ TEST(FlowNetwork, TransferWithinTimesOutAndAbandonsTheFlow) {
   EXPECT_EQ(net.active_flows(), 0u);  // the payload was cancelled
   EXPECT_NEAR(net.bytes_delivered(), 200.0, 1e-6);
   EXPECT_NEAR(net.bytes_cancelled(), 800.0, 1e-6);
+}
+
+// A flow that finishes on its deadline's own instant times out, even
+// when the completion event fires before the timer (the timer was armed
+// after the flow, and nothing re-solved since): the timer still fires
+// first within the instant and finds nothing left to cancel.
+TEST(FlowNetwork, TransferWithinTimesOutWhenTheFlowEndsOnTheDeadline) {
+  Simulator s;
+  FlowNetwork net(s);
+  const auto link = net.add_resource("link", 100.0);
+  bool completed = true;
+  SimTime finished = -1;
+  s.spawn(timed_transfer(net, {link}, 250.0, /*timeout=*/2.5, &completed, s,
+                         &finished));
+  s.run();
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(finished, 2.5);
+  EXPECT_EQ(net.bytes_delivered(), 250.0);  // every byte arrived
+  EXPECT_EQ(net.bytes_cancelled(), 0.0);
+  EXPECT_EQ(s.events_executed(), 2u);  // the completion and the timer
+}
+
+// Completion callbacks run inside the completion event, once the network
+// has retired the finished flows and re-solved.  Three flows on two paths
+// finish at t=1; the first one's callback starts a flow and cancels
+// another, the second sees the network those calls left, and the third
+// starts one more.  The three still run in admission order, and each
+// completion costs one event however many callbacks it runs.
+TEST(FlowNetwork, CallbacksStartAndCancelFlowsReentrantlyInAdmissionOrder) {
+  Simulator s;
+  FlowNetwork net(s);
+  const auto link = net.add_resource("link", 200.0);
+  const auto aux = net.add_resource("aux", 50.0);
+  const auto other = net.add_resource("other", 100.0);
+  std::vector<std::pair<std::string, SimTime>> log;
+  const auto logger = [&](std::string name) {
+    return [&log, &s, name] { log.emplace_back(name, s.now()); };
+  };
+  FlowId late = kInvalidFlow;
+  const FlowId victim = net.start_flow({other}, 1000.0, logger("victim"));
+  net.start_flow({link}, 100.0, [&] {
+    log.emplace_back("a", s.now());
+    late = net.start_flow({link}, 200.0, logger("late"));
+    net.cancel_flow(victim);
+  });
+  net.start_flow({aux}, 50.0, [&] {
+    log.emplace_back("b", s.now());
+    EXPECT_EQ(net.active_flows(), 1u);
+    EXPECT_EQ(net.flow_rate(late), 200.0);  // alone on the link
+    EXPECT_EQ(net.flow_rate(victim), 0.0);  // cancelled
+  });
+  net.start_flow({link}, 100.0, [&] {
+    log.emplace_back("c", s.now());
+    net.start_flow({link}, 100.0, logger("last"));
+  });
+  s.run();
+  // `late` and `last` share the link from t=1: `last` is done at 2, and
+  // `late` has 100 B left, alone at 200 B/s.
+  const std::vector<std::pair<std::string, SimTime>> want = {
+      {"a", 1.0}, {"b", 1.0}, {"c", 1.0}, {"last", 2.0}, {"late", 2.5}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_EQ(net.bytes_cancelled(), 900.0);
+  EXPECT_EQ(net.bytes_delivered(), 100.0 + 50.0 + 100.0 + 200.0 + 100.0 +
+                                       100.0);
 }
 
 TEST(FlowNetwork, ConservationHoldsWithCancellations) {

@@ -78,6 +78,57 @@ TEST(NetServer, PipelinedRequestsAllAnswered) {
   EXPECT_EQ(answered, kCount);
 }
 
+// The protocol carries no request id, so a pipelining client pairs
+// answers with requests by order alone.  With two workers a fast request
+// behind a slow one finishes first; its answer must still go out second.
+// Shed answers wait their turn the same way.
+TEST(NetServer, PipelinedResponsesKeepRequestOrder) {
+  const Handler handler = [](const Request& req) {
+    if (req.line.rfind("slow", 0) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return "ok " + req.line + "\n";
+  };
+  {
+    ServerOptions options;
+    options.workers = 2;
+    TestServer ts(options, handler);
+    BlockingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", ts.port(), 2000));
+    ASSERT_TRUE(client.send_request("slow", 2000));
+    ASSERT_TRUE(client.send_request("fast", 2000));
+    const auto first = client.read_response(5000);
+    const auto second = client.read_response(5000);
+    ASSERT_TRUE(first.has_value() && second.has_value())
+        << client.last_error();
+    EXPECT_EQ(*first, "ok slow\n");
+    EXPECT_EQ(*second, "ok fast\n");
+  }
+  // One worker and a one-slot queue: behind a slow request, part of the
+  // burst is shed at once.  Every answer, shed or not, belongs to the
+  // request in its position.
+  ServerOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  TestServer ts(options, handler);
+  BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", ts.port(), 2000));
+  const std::vector<std::string> burst = {"slow0", "fast1", "fast2",
+                                          "slow3", "fast4", "fast5"};
+  for (const auto& line : burst) ASSERT_TRUE(client.send_request(line, 2000));
+  int shed = 0;
+  for (const auto& line : burst) {
+    const auto resp = client.read_response(5000);
+    ASSERT_TRUE(resp.has_value()) << client.last_error();
+    if (resp->rfind("shed", 0) == 0) {
+      ++shed;
+    } else {
+      EXPECT_EQ(*resp, "ok " + line + "\n");
+    }
+  }
+  EXPECT_GE(shed, 1);
+}
+
 // Run under the tsan preset: many client threads against one server;
 // every request must get exactly its own response (the handler echoes
 // the request text back, so mixups are detectable).

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "acic/common/error.hpp"
@@ -295,6 +297,41 @@ TEST(TaskTest, ChildExceptionPropagatesToParent) {
   EXPECT_TRUE(caught);
 }
 
+Task fused_and_stepwise(Simulator& s, std::vector<SimTime>& times,
+                        std::vector<std::uint64_t>& events) {
+  // Step by step: three delays, three events.
+  co_await s.delay(0.1);
+  co_await s.delay(0.2);
+  co_await s.delay(0.3);
+  times.push_back(s.now());
+  events.push_back(s.events_executed());
+  // Fused: the same additions in the same order, one event.
+  SimTime t = s.now() + 0.1;
+  t = t + 0.2;
+  t = t + 0.3;
+  co_await s.until(t);
+  times.push_back(s.now());
+  events.push_back(s.events_executed());
+  // An instant that is not in the future resumes at once.
+  co_await s.until(s.now());
+  co_await s.until(0.25);
+  times.push_back(s.now());
+  events.push_back(s.events_executed());
+}
+
+TEST(Simulator, UntilResumesOnTheInstantTheDelaysItFusesEnd) {
+  Simulator s;
+  std::vector<SimTime> times;
+  std::vector<std::uint64_t> events;
+  s.spawn(fused_and_stepwise(s, times, events));
+  s.run();
+  ASSERT_EQ(times.size(), 3u);
+  EXPECT_EQ(times[0], (0.1 + 0.2) + 0.3);
+  EXPECT_EQ(times[1], ((times[0] + 0.1) + 0.2) + 0.3);
+  EXPECT_EQ(times[2], times[1]);
+  EXPECT_EQ(events, (std::vector<std::uint64_t>{3, 4, 4}));
+}
+
 Task wait_on(Condition& c, int& wakeups) {
   co_await c.wait();
   ++wakeups;
@@ -392,6 +429,73 @@ TEST(SyncTest, SemaphoreHandsPermitsOverInArrivalOrder) {
   EXPECT_EQ(sem.available(), 1u);
 }
 
+/// Arrives at `arrive`, holds the semaphore for `service` and releases
+/// it at once, logging (id, resume time) and the events run by then.
+Task hold_and_release(Simulator& s, Semaphore& sem, SimTime arrive,
+                      SimTime service, int id,
+                      std::vector<std::pair<int, SimTime>>& resumed,
+                      std::vector<std::uint64_t>* events = nullptr) {
+  co_await s.until(arrive);
+  co_await sem.hold(service);
+  resumed.emplace_back(id, s.now());
+  if (events) events->push_back(s.events_executed());
+  sem.release();
+}
+
+TEST(SyncTest, SemaphoreHoldUncontendedIsOneEventAtNowPlusService) {
+  Simulator s;
+  Semaphore sem(s, 1);
+  std::vector<std::pair<int, SimTime>> resumed;
+  std::vector<std::uint64_t> events;
+  s.spawn(hold_and_release(s, sem, 0.0, 0.75, 0, resumed, &events));
+  EXPECT_EQ(sem.available(), 0u);  // held from the acquire on
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(resumed, (std::vector<std::pair<int, SimTime>>{{0, 0.75}}));
+  EXPECT_EQ(events, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(sem.available(), 1u);
+}
+
+TEST(SyncTest, SemaphoreHoldContendedResumesAtReleasePlusServiceFifo) {
+  // One permit.  Holder 0 takes it at 0 for 1 s; 2 queues at 0.25 s for
+  // 2 s and 1 at 0.5 s for 0.5 s (spawned out of arrival order).  Each
+  // resumes its service time after the release that hands it the
+  // permit, in arrival order, through one event per hold.
+  Simulator s;
+  Semaphore sem(s, 1);
+  std::vector<std::pair<int, SimTime>> resumed;
+  std::vector<std::uint64_t> events;
+  s.spawn(hold_and_release(s, sem, 0.5, 0.5, 1, resumed, &events));
+  s.spawn(hold_and_release(s, sem, 0.0, 1.0, 0, resumed, &events));
+  s.spawn(hold_and_release(s, sem, 0.25, 2.0, 2, resumed, &events));
+  s.run();
+  const std::vector<std::pair<int, SimTime>> want = {
+      {0, 1.0}, {2, 1.0 + 2.0}, {1, (1.0 + 2.0) + 0.5}};
+  EXPECT_EQ(resumed, want);
+  // Two arrivals after t=0, then one event per hold.
+  EXPECT_EQ(events, (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(sem.available(), 1u);
+}
+
+TEST(SyncTest, SemaphoreHoldOfZeroServiceIsAnAcquire) {
+  Simulator s;
+  Semaphore sem(s, 1);
+  std::vector<std::pair<int, SimTime>> resumed;
+  // Uncontended: no suspension and no event.
+  s.spawn(hold_and_release(s, sem, 0.0, 0.0, 0, resumed));
+  EXPECT_EQ(resumed, (std::vector<std::pair<int, SimTime>>{{0, 0.0}}));
+  EXPECT_EQ(s.pending_events(), 0u);
+  // Contended: queued, then woken at the release's own time.
+  s.spawn(hold_and_release(s, sem, 1.0, 2.0, 1, resumed));
+  s.spawn(hold_and_release(s, sem, 1.5, 0.0, 2, resumed));
+  s.run();
+  const std::vector<std::pair<int, SimTime>> want = {
+      {0, 0.0}, {1, 3.0}, {2, 3.0}};
+  EXPECT_EQ(resumed, want);
+  // Two arrivals, holder 1's service and holder 2's wake.
+  EXPECT_EQ(s.events_executed(), 4u);
+}
+
 Task barrier_participant(Simulator& s, Barrier& b, SimTime arrive_at,
                          std::vector<SimTime>& exit_times) {
   co_await s.delay(arrive_at);
@@ -409,6 +513,30 @@ TEST(SyncTest, BarrierReleasesAllAtLastArrival) {
   s.run();
   ASSERT_EQ(exits.size(), 3u);
   for (SimTime t : exits) EXPECT_DOUBLE_EQ(t, 5.0);
+}
+
+Task barrier_with_latency(Simulator& s, Barrier& b, SimTime arrive_at,
+                          int id, std::vector<std::pair<int, SimTime>>& out) {
+  co_await s.until(arrive_at);
+  co_await b.arrive_and_wait(0.25);
+  out.emplace_back(id, s.now());
+}
+
+TEST(SyncTest, BarrierLatencyResumesLastArriverFirstThenInArrivalOrder) {
+  Simulator s;
+  Barrier b(s, 3);
+  std::vector<std::pair<int, SimTime>> out;
+  s.spawn(barrier_with_latency(s, b, 1.0, 0, out));
+  s.spawn(barrier_with_latency(s, b, 5.0, 1, out));
+  s.spawn(barrier_with_latency(s, b, 3.0, 2, out));
+  s.run();
+  // Everyone resumes 0.25 s after the last arrival at 5 s: the last
+  // arriver (1) first, then 0 and 2 in the order they arrived.
+  const std::vector<std::pair<int, SimTime>> want = {
+      {1, 5.25}, {0, 5.25}, {2, 5.25}};
+  EXPECT_EQ(out, want);
+  // Three arrivals and one resume each: no wake-then-delay pairs.
+  EXPECT_EQ(s.events_executed(), 6u);
 }
 
 Task barrier_twice(Simulator& s, Barrier& b, SimTime d, int& phase_counter) {
