@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "acic/common/mutex.hpp"
 #include "acic/common/parallel.hpp"
@@ -11,35 +12,41 @@
 
 namespace acic::core {
 
+std::vector<PbRun> pb_screening_runs(std::uint64_t seed) {
+  const PbMatrix design = PbDesign::foldover(PbDesign::runs_for(kNumDims));
+  // Row -> concrete exploration-space point: +1 takes the dimension's
+  // high end, -1 its low end; the validity repair mirrors what the paper
+  // had to do for combinations like "NFS with 4 servers".
+  std::vector<PbRun> runs;
+  runs.reserve(design.size());
+  for (std::size_t i = 0; i < design.size(); ++i) {
+    Point p{};
+    for (int d = 0; d < kNumDims; ++d) {
+      const Dim dim = static_cast<Dim>(d);
+      p[d] = design[i][static_cast<std::size_t>(d)] > 0 ? ParamSpace::high(dim)
+                                                        : ParamSpace::low(dim);
+    }
+    p = ParamSpace::repaired(p);
+    PbRun run{ParamSpace::workload_of(p), ParamSpace::config_of(p), {}};
+    run.options.seed = seed ^ (0x9b97f4a7ULL + i);
+    runs.push_back(std::move(run));
+  }
+  return runs;
+}
+
 PbRankingResult run_pb_ranking(const PbRankingOptions& options) {
   PbRankingResult result;
   const int runs = PbDesign::runs_for(kNumDims);  // 16 for N = 15
   result.design = PbDesign::foldover(runs);       // 32 rows
+  const std::vector<PbRun> screening_runs = pb_screening_runs(options.seed);
 
-  // Row -> concrete exploration-space point: +1 takes the dimension's
-  // high end, -1 its low end; the validity repair mirrors what the paper
-  // had to do for combinations like "NFS with 4 servers".
-  std::vector<Point> points;
-  points.reserve(result.design.size());
-  for (const auto& row : result.design) {
-    Point p{};
-    for (int d = 0; d < kNumDims; ++d) {
-      const Dim dim = static_cast<Dim>(d);
-      p[d] = row[static_cast<std::size_t>(d)] > 0 ? ParamSpace::high(dim)
-                                                  : ParamSpace::low(dim);
-    }
-    points.push_back(ParamSpace::repaired(p));
-  }
-
-  result.response.assign(points.size(), 0.0);
+  result.response.assign(screening_runs.size(), 0.0);
   Mutex stats_mutex;
   parallel_for(
-      points.size(),
+      screening_runs.size(),
       [&](std::size_t i) {
-        io::RunOptions opts;
-        opts.seed = options.seed ^ (0x9b97f4a7ULL + i);
-        const auto r = ior::run_ior(ParamSpace::workload_of(points[i]),
-                                    ParamSpace::config_of(points[i]), opts);
+        const PbRun& run = screening_runs[i];
+        const auto r = ior::run_ior(run.workload, run.config, run.options);
         result.response[i] = r.total_time;
         MutexLock lock(&stats_mutex);
         ++result.stats.runs;

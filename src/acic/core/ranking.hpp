@@ -13,6 +13,7 @@
 #include "acic/core/pbdesign.hpp"
 #include "acic/core/predictor.hpp"
 #include "acic/core/training.hpp"
+#include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
 
 namespace acic::core {
@@ -30,6 +31,18 @@ struct PbRankingOptions {
   std::uint64_t seed = 1;
   unsigned threads = 0;
 };
+
+/// One screening run: the IOR workload and configuration a foldover row
+/// maps to, and the options it runs with.
+struct PbRun {
+  io::Workload workload;
+  cloud::IoConfig config;
+  io::RunOptions options;
+};
+
+/// The 32 screening runs in foldover row order, seeded from `seed` the
+/// way run_pb_ranking() runs them.
+std::vector<PbRun> pb_screening_runs(std::uint64_t seed = 1);
 
 /// Execute the 32-run foldover screening with IOR on the simulated cloud
 /// (io::RunOptions' default jitter) and rank all 15 dimensions by their

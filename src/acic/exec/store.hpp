@@ -169,8 +169,9 @@ class RunStore {
   /// as current.  Epoch 1 (no cell) was the per-flow solver, 2 the
   /// path-group solver; 3 runs completion callbacks inside the
   /// completion event and fuses back-to-back waits, which moved only
-  /// `sim_events`.
-  static constexpr int kSimEpoch = 3;
+  /// `sim_events`; 4 prices path groups in bottleneck levels with a
+  /// local re-price, which moved results in their last bits.
+  static constexpr int kSimEpoch = 4;
   static constexpr const char* kLockFileName = ".store.lock";
 
  private:

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "acic/common/error.hpp"
+#include "acic/obs/metrics.hpp"
 
 namespace acic::sim {
 
@@ -21,6 +22,9 @@ constexpr SimTime kTimeQuantum = 1e-9;
 // filling round.
 constexpr double kBottleneckSlack = 1.0 + 1e-12;
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+// The optimality certificate's relative tolerance.
+constexpr double kFairSlack = 1e-9;
 
 bool flow_done(Bytes remaining, double rate) {
   if (remaining <= kEpsilonBytes) return true;
@@ -37,23 +41,36 @@ bool path_is_duplicate_free(const FlowPath& path) {
 }
 }  // namespace
 
+FlowNetwork::~FlowNetwork() {
+  if (solves_ == 0) return;
+  auto& registry = obs::MetricsRegistry::global();
+  registry.counter("sim.flow.solves").add(static_cast<double>(solves_));
+  registry.counter("sim.flow.full_solves")
+      .add(static_cast<double>(full_solves_));
+}
+
 ResourceId FlowNetwork::add_resource(std::string name, double capacity) {
+  ACIC_EXPECTS(std::isfinite(capacity), "non-finite capacity " << capacity
+                                                               << " for "
+                                                               << name);
   ACIC_EXPECTS(capacity >= 0.0, "negative capacity " << capacity << " for "
                                                      << name);
   // Flow paths store resource ids as 32-bit indices.
-  ACIC_DCHECK(resources_.size() < std::numeric_limits<std::uint32_t>::max(),
-              "too many flow resources");
+  ACIC_DCHECK(resources_.size() < kNone, "too many flow resources");
   resources_.push_back(Resource{std::move(name), capacity});
   return resources_.size() - 1;
 }
 
 void FlowNetwork::set_capacity(ResourceId id, double capacity) {
   ACIC_EXPECTS(id < resources_.size(), "unknown resource " << id);
+  ACIC_EXPECTS(std::isfinite(capacity), "non-finite capacity "
+                                            << capacity << " for "
+                                            << resources_[id].name);
   ACIC_EXPECTS(capacity >= 0.0, "negative capacity " << capacity << " for "
                                                      << resources_[id].name);
   advance();
   resources_[id].capacity = capacity;
-  recompute_rates();
+  solve(false);
   schedule_next_completion();
 }
 
@@ -87,7 +104,7 @@ FlowId FlowNetwork::admit(const FlowPath& path, Bytes bytes,
   const FlowId id = next_flow_id_++;
   bytes_injected_ += bytes;
   if (bytes <= kEpsilonBytes) {
-    record_slot(kNoSlot);  // never enters
+    record_slot(kNone);  // never enters
     bytes_delivered_ += bytes;
     if (on_complete) sim_.at(sim_.now(), std::move(on_complete));
     return id;
@@ -100,34 +117,54 @@ FlowId FlowNetwork::admit(const FlowPath& path, Bytes bytes,
   const std::uint32_t gi =
       group_for(padded, static_cast<std::uint32_t>(path.size()));
   Group& g = groups_[gi];
-  if (g.count++ == 0) {
-    g.vtime = 0.0;
+  const bool activates = g.count++ == 0;
+  if (activates) {
+    g.offset = 0.0;  // vtime 0, outside any level until priced
     active_.push_back(gi);
+  } else {
+    ++levels_[g.level].count;
   }
   for (std::uint32_t h = 0; h < g.hops; ++h) {
     Resource& res = resources_[g.path[h]];
     if (res.crossing++ == 0) {
       res.in_use_pos = static_cast<std::uint32_t>(in_use_.size());
       in_use_.push_back(g.path[h]);
+      res.load = 0.0;
     }
   }
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(flows_.size());
-    ACIC_CHECK(slot != kNoSlot, "flow slot arena exhausted");
+    ACIC_CHECK(slot != kNone, "flow slot arena exhausted");
     flows_.emplace_back();
     callbacks_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  flows_[slot] = Flow{g.vtime + bytes, id, gi};
+  flows_[slot] = Flow{vtime(g) + bytes, id, gi};
   callbacks_[slot] = std::move(on_complete);
   g.tags.push_back(Tag{flows_[slot].finish, id, slot});
   std::push_heap(g.tags.begin(), g.tags.end(), finishes_later);
   ++active_count_;
   record_slot(slot);
-  recompute_rates();
+
+  // Price the flow in its group's level; a group that becomes active
+  // joins the level whose bottleneck it crosses.  The flow's load is
+  // booked at the level's old rate, which the re-price then moves.
+  const std::uint32_t li = activates ? level_to_join(g) : g.level;
+  if (li != kNone) {
+    if (activates) {
+      join(gi, li);
+    } else {
+      g.due = g.tags.front().finish - g.offset;
+    }
+    const double rate = levels_[li].rate;
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      resources_[g.path[h]].load += rate;
+    }
+  }
+  solve(li != kNone && reprice(li, gi));
   schedule_next_completion();
   return id;
 }
@@ -160,19 +197,23 @@ void FlowNetwork::TimedTransfer::timed_out() {
 void FlowNetwork::cancel_flow(FlowId id) {
   const std::uint32_t slot = slot_of(id);
   // Already completed (or never admitted, e.g. a zero-byte flow): no-op.
-  if (slot == kNoSlot) return;
+  if (slot == kNone) return;
   advance();
-  const Flow& f = flows_[slot];
-  bytes_cancelled_ += f.finish - groups_[f.group].vtime;
+  const std::uint32_t gi = flows_[slot].group;
+  Group& g = groups_[gi];
+  const std::uint32_t li = g.level;
+  bytes_cancelled_ += flows_[slot].finish - vtime(g);
+  const bool head = g.tags.front().id == id;
   retire(slot);
   free_slot(slot);
-  recompute_rates();
+  if (head && g.count > 0) drop_stale_tags(g);
+  solve(reprice(li, kNone));
   schedule_next_completion();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
   const std::uint32_t slot = slot_of(id);
-  return slot == kNoSlot ? 0.0 : groups_[flows_[slot].group].rate;
+  return slot == kNone ? 0.0 : levels_[groups_[flows_[slot].group].level].rate;
 }
 
 void FlowNetwork::record_slot(std::uint32_t slot) {
@@ -180,7 +221,7 @@ void FlowNetwork::record_slot(std::uint32_t slot) {
   // Advance past finished ids, then drop the dead prefix once it
   // dominates the window: amortised O(1) per id.
   while (window_head_ < slot_of_.size() &&
-         slot_of_[window_head_] == kNoSlot) {
+         slot_of_[window_head_] == kNone) {
     ++window_head_;
   }
   if (window_head_ >= 64 && window_head_ * 2 >= slot_of_.size()) {
@@ -193,7 +234,7 @@ void FlowNetwork::record_slot(std::uint32_t slot) {
 }
 
 std::uint32_t FlowNetwork::slot_of(FlowId id) const {
-  if (id < window_base_ || id >= next_flow_id_) return kNoSlot;
+  if (id < window_base_ || id >= next_flow_id_) return kNone;
   return slot_of_[static_cast<std::size_t>(id - window_base_)];
 }
 
@@ -224,13 +265,66 @@ void FlowNetwork::drop_stale_tags(Group& g) {
     std::pop_heap(g.tags.begin(), g.tags.end(), finishes_later);
     g.tags.pop_back();
   }
+  g.due = g.tags.front().finish - g.offset;
+}
+
+std::uint32_t FlowNetwork::new_level(double rate, std::uint32_t bottleneck) {
+  if (level_count_ == levels_.size()) levels_.emplace_back();
+  Level& l = levels_[level_count_];
+  l.rate = rate;
+  l.clock = 0.0;
+  l.due = kInfinity;
+  l.bottleneck = bottleneck;
+  l.count = 0;
+  l.pinned = false;
+  l.foreign_load = 0.0;
+  l.foreign_rate = 0.0;
+  l.members.clear();
+  return level_count_++;
+}
+
+void FlowNetwork::join(std::uint32_t gi, std::uint32_t li) {
+  Group& g = groups_[gi];
+  Level& l = levels_[li];
+  // An empty level restarts its clock, as a reactivated group does.
+  if (l.count == 0) l.clock = 0.0;
+  g.level = li;
+  g.member_pos = static_cast<std::uint32_t>(l.members.size());
+  l.members.push_back(gi);
+  l.count += g.count;
+  g.offset -= l.clock;
+  g.due = g.tags.front().finish - g.offset;
+  l.due = std::min(l.due, g.due);
+}
+
+void FlowNetwork::leave(std::uint32_t gi) {
+  Group& g = groups_[gi];
+  Level& l = levels_[g.level];
+  const std::uint32_t last = l.members.back();
+  l.members[g.member_pos] = last;
+  groups_[last].member_pos = g.member_pos;
+  l.members.pop_back();
+  g.level = kNone;
+}
+
+std::uint32_t FlowNetwork::level_to_join(const Group& g) const {
+  std::uint32_t found = kNone;
+  for (std::uint32_t h = 0; h < g.hops; ++h) {
+    const std::uint32_t li = resources_[g.path[h]].level;
+    if (li == kNone) continue;
+    if (found != kNone) return kNone;
+    found = li;
+  }
+  return found;
 }
 
 void FlowNetwork::retire(std::uint32_t slot) {
   Flow& f = flows_[slot];
   Group& g = groups_[f.group];
+  Level& l = levels_[g.level];
   for (std::uint32_t h = 0; h < g.hops; ++h) {
     Resource& res = resources_[g.path[h]];
+    res.load -= l.rate;
     if (--res.crossing == 0) {
       const std::uint32_t last = in_use_.back();
       in_use_[res.in_use_pos] = last;
@@ -238,12 +332,13 @@ void FlowNetwork::retire(std::uint32_t slot) {
       in_use_.pop_back();
     }
   }
+  --l.count;
   if (--g.count == 0) {
     g.tags.clear();  // only stale tags can be left
-    g.rate = 0.0;
+    leave(f.group);
     active_.erase(std::find(active_.begin(), active_.end(), f.group));
   }
-  slot_of_[static_cast<std::size_t>(f.id - window_base_)] = kNoSlot;
+  slot_of_[static_cast<std::size_t>(f.id - window_base_)] = kNone;
   f.id = kInvalidFlow;
   --active_count_;
 }
@@ -257,18 +352,80 @@ void FlowNetwork::advance() {
   const SimTime now = sim_.now();
   const SimTime dt = now - last_update_;
   if (dt > 0.0) {
-    for (std::uint32_t gi : active_) {
-      Group& g = groups_[gi];
-      const Bytes moved = g.rate * dt;
-      g.vtime += moved;
-      bytes_delivered_ += moved * static_cast<double>(g.count);
+    for (std::uint32_t li = 0; li < level_count_; ++li) {
+      Level& l = levels_[li];
+      if (l.count == 0) continue;
+      const Bytes moved = l.rate * dt;
+      l.clock += moved;
+      bytes_delivered_ += moved * static_cast<double>(l.count);
     }
   }
   last_update_ = now;
 }
 
-void FlowNetwork::recompute_rates() {
-  next_eta_ = std::numeric_limits<SimTime>::infinity();
+void FlowNetwork::solve(bool repriced) {
+  ++solves_;
+  if (!repriced) fill();
+  ACIC_DCHECK(rates_feasible(), "max-min solve oversubscribed a resource");
+  ACIC_DCHECK(rates_max_min_fair(), "max-min solve left a flow unbottlenecked");
+}
+
+bool FlowNetwork::reprice(std::uint32_t li, std::uint32_t added) {
+  Level& l = levels_[li];
+  if (l.bottleneck == kNone || l.pinned) return false;
+  if (l.count == 0) return true;  // emptied: nothing left to price
+  // The level's flows share what other levels' flows leave of the
+  // bottleneck, and stay the fastest on it.
+  const double rate =
+      std::max(0.0, (resources_[l.bottleneck].capacity - l.foreign_load) /
+                        static_cast<double>(l.count));
+  if (rate < l.foreign_rate) return false;
+  // Move every member's load to the new rate, and check that every
+  // resource the level crosses keeps its headroom.  None is another
+  // level's bottleneck (the level is not pinned), so no other level's
+  // flows lose theirs.  A rising rate only adds load, so a resource that
+  // fits after its last update fits after every earlier one; a falling
+  // rate only adds load on the path of flows added at the old rate.
+  const double delta = rate - l.rate;
+  const bool rising = delta > 0.0;
+  bool fits = true;
+  Bytes due = kInfinity;
+  for (std::uint32_t gi : l.members) {
+    const Group& g = groups_[gi];
+    due = std::min(due, g.due);
+    const double added_load = delta * static_cast<double>(g.count);
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      Resource& res = resources_[g.path[h]];
+      res.load += added_load;
+      fits &= !rising || res.load <= res.capacity * kBottleneckSlack;
+    }
+  }
+  if (!rising && added != kNone) {
+    const Group& g = groups_[added];
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      const Resource& res = resources_[g.path[h]];
+      fits &= res.load <= res.capacity * kBottleneckSlack;
+    }
+  }
+  l.rate = rate;
+  l.due = due;
+  return fits;
+}
+
+void FlowNetwork::fill() {
+  ++full_solves_;
+  // Retire the old levels: fold every group's clock into its offset, so
+  // the new levels' clocks start at 0.
+  for (std::uint32_t gi : active_) {
+    Group& g = groups_[gi];
+    g.offset = vtime(g);
+    g.level = kNone;
+  }
+  for (std::uint32_t li = 0; li < level_count_; ++li) {
+    const std::uint32_t r = levels_[li].bottleneck;
+    if (r != kNone) resources_[r].level = kNone;
+  }
+  level_count_ = 0;
   if (active_.empty()) return;
 
   // Progressive filling: repeatedly find the bottleneck resource (the one
@@ -277,52 +434,54 @@ void FlowNetwork::recompute_rates() {
   // that crosses a resource whose share is within kBottleneckSlack of the
   // bottleneck.  A frozen group's `count` flows all get the bottleneck
   // share, so it deducts count x share from the residual of every resource
-  // it crosses and count from their unfixed counts.
+  // it crosses and count from their unfixed counts.  It joins the level
+  // of the first such resource on its path, which the round creates.
   //
   // Only resources crossed by an active flow take part: seeding walks
   // in_use_, whose crossing counts start_flow()/retire() keep current,
   // and a share is recomputed only when a freeze changes its residual or
   // unfixed count.  A round costs O(resources in use + kMaxPathHops x
-  // unfixed groups), and a solve allocates nothing.
+  // unfixed groups).
   for (std::uint32_t r : in_use_) {
     Resource& res = resources_[r];
     res.residual = res.capacity;
     res.unfixed = res.crossing;
     res.share = res.residual / static_cast<double>(res.unfixed);
+    res.load = 0.0;
   }
   unfixed_.assign(active_.begin(), active_.end());
 
   std::size_t left = unfixed_.size();
   while (left > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
+    double best_share = kInfinity;
     for (std::uint32_t r : in_use_) {
       // NaN shares (no unfixed flow left) never compare less.
       if (resources_[r].share < best_share) best_share = resources_[r].share;
     }
     // Defensive: no resource offers a finite share.
-    if (!(best_share < std::numeric_limits<double>::infinity())) break;
+    if (!(best_share < kInfinity)) break;
     best_share = std::max(best_share, 0.0);
     const double limit = best_share * kBottleneckSlack;
 
-    // Every group frozen this round gets rate best_share, so the round's
-    // earliest completion is its smallest heap top's bytes left over
-    // best_share.
-    Bytes min_left = std::numeric_limits<Bytes>::infinity();
     std::size_t kept = 0;
     for (std::size_t k = 0; k < left; ++k) {
       const std::uint32_t gi = unfixed_[k];
-      Group& g = groups_[gi];
-      const auto at_bottleneck = [&](std::uint32_t r) {
-        return resources_[r].share <= limit;
-      };
-      if (!(at_bottleneck(g.path[0]) | at_bottleneck(g.path[1]) |
-            at_bottleneck(g.path[2]) | at_bottleneck(g.path[3]))) {
+      const Group& g = groups_[gi];
+      std::uint32_t bottleneck = kNone;
+      for (std::uint32_t r : g.path) {
+        if (resources_[r].share <= limit) {
+          bottleneck = r;
+          break;
+        }
+      }
+      if (bottleneck == kNone) {
         unfixed_[kept++] = gi;
         continue;
       }
-      g.rate = best_share;
-      drop_stale_tags(g);
-      min_left = std::min(min_left, g.tags.front().finish - g.vtime);
+      if (resources_[bottleneck].level == kNone) {
+        resources_[bottleneck].level = new_level(best_share, bottleneck);
+      }
+      join(gi, resources_[bottleneck].level);
       const double taken = static_cast<double>(g.count) * best_share;
       for (std::uint32_t h = 0; h < g.hops; ++h) {
         Resource& res = resources_[g.path[h]];
@@ -334,13 +493,31 @@ void FlowNetwork::recompute_rates() {
       }
     }
     if (kept == left) break;  // defensive against FP pathologies
-    if (best_share > 0.0) {
-      next_eta_ = std::min(next_eta_, min_left / best_share);
-    }
     left = kept;
   }
-  // Groups the solver could not place.
-  for (std::size_t k = 0; k < left; ++k) groups_[unfixed_[k]].rate = 0.0;
+  // Groups the solver could not place stall in a level of their own.
+  if (left > 0) {
+    const std::uint32_t li = new_level(0.0, kNone);
+    for (std::size_t k = 0; k < left; ++k) join(unfixed_[k], li);
+  }
+
+  // Resource loads, and what each re-price must respect: a member
+  // crossing another level's bottleneck pins its level and is a foreign
+  // flow on that bottleneck.
+  for (std::uint32_t gi : active_) {
+    const Group& g = groups_[gi];
+    Level& l = levels_[g.level];
+    const double taken = static_cast<double>(g.count) * l.rate;
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      Resource& res = resources_[g.path[h]];
+      res.load += taken;
+      if (res.level == kNone || res.level == g.level) continue;
+      l.pinned = true;
+      Level& other = levels_[res.level];
+      other.foreign_load += taken;
+      other.foreign_rate = std::max(other.foreign_rate, l.rate);
+    }
+  }
 }
 
 void FlowNetwork::schedule_next_completion() {
@@ -349,14 +526,20 @@ void FlowNetwork::schedule_next_completion() {
     completion_event_ = 0;
   }
   if (active_count_ == 0) return;
-  const SimTime min_eta = next_eta_;
+  SimTime min_eta = kInfinity;
+  for (std::uint32_t li = 0; li < level_count_; ++li) {
+    const Level& l = levels_[li];
+    if (l.count > 0 && l.rate > 0.0) {
+      min_eta = std::min(min_eta, (l.due - l.clock) / l.rate);
+    }
+  }
   if (!std::isfinite(min_eta)) return;  // everything stalled (failure)
   // Always land on a representable instant strictly after `now` so the
   // clock provably advances (see kTimeQuantum).
   const SimTime now = sim_.now();
   SimTime target = now + std::max(min_eta, kTimeQuantum);
   if (target <= now) {
-    target = std::nextafter(now, std::numeric_limits<SimTime>::infinity());
+    target = std::nextafter(now, kInfinity);
   }
   completion_event_ = sim_.at(target, [this] { handle_completion_event(); });
 }
@@ -364,18 +547,29 @@ void FlowNetwork::schedule_next_completion() {
 void FlowNetwork::handle_completion_event() {
   completion_event_ = 0;  // firing now
   advance();
-  // Within a group every member has the same rate, so the finished ones
-  // are the heap's smallest finish tags.
-  for (std::uint32_t gi : active_) {
-    Group& g = groups_[gi];
-    while (!g.tags.empty()) {
-      const Tag top = g.tags.front();
-      const bool live = flows_[top.slot].id == top.id;
-      if (live && !flow_done(top.finish - g.vtime, g.rate)) break;
-      std::pop_heap(g.tags.begin(), g.tags.end(), finishes_later);
-      g.tags.pop_back();
-      if (live) done_.push_back(top);
+  // Within a level every member flow has the same rate, so only a level
+  // whose earliest finish is done holds finished flows, only its members
+  // whose earliest finish is done do, and those are their heaps' smallest
+  // finish tags.
+  for (std::uint32_t li = 0; li < level_count_; ++li) {
+    const Level& l = levels_[li];
+    if (l.count == 0 || !flow_done(l.due - l.clock, l.rate)) continue;
+    for (std::uint32_t gi : l.members) {
+      Group& g = groups_[gi];
+      if (!flow_done(g.due - l.clock, l.rate)) continue;
+      while (!g.tags.empty()) {
+        const Tag top = g.tags.front();
+        const bool live = flows_[top.slot].id == top.id;
+        if (live && !flow_done(top.finish - g.offset - l.clock, l.rate)) {
+          break;
+        }
+        std::pop_heap(g.tags.begin(), g.tags.end(), finishes_later);
+        g.tags.pop_back();
+        if (live) done_.push_back(top);
+      }
+      if (!g.tags.empty()) g.due = g.tags.front().finish - g.offset;
     }
+    touched_.push_back(li);
   }
   // Retire in admission (id) order, crediting each finished flow's
   // residue (sub-epsilon left, or the overshoot of its group's clock) so
@@ -383,15 +577,19 @@ void FlowNetwork::handle_completion_event() {
   std::sort(done_.begin(), done_.end(),
             [](const Tag& a, const Tag& b) { return a.id < b.id; });
   for (const Tag& t : done_) {
-    bytes_delivered_ += t.finish - groups_[flows_[t.slot].group].vtime;
+    bytes_delivered_ += t.finish - vtime(groups_[flows_[t.slot].group]);
     retire(t.slot);
   }
   ACIC_DCHECK(bytes_conserved(),
               "flow byte conservation violated: injected="
                   << bytes_injected_ << " delivered=" << bytes_delivered_
                   << " cancelled=" << bytes_cancelled_);
-  recompute_rates();
-  ACIC_DCHECK(rates_feasible(), "max-min solve oversubscribed a resource");
+  bool repriced = true;
+  for (std::uint32_t li : touched_) {
+    repriced = repriced && reprice(li, kNone);
+  }
+  touched_.clear();
+  solve(repriced);
   schedule_next_completion();
   // The network is consistent again: run the callbacks here, in admission
   // order.  A callback may start or cancel flows, which re-solves and
@@ -410,7 +608,7 @@ void FlowNetwork::handle_completion_event() {
 bool FlowNetwork::bytes_conserved() const {
   Bytes in_flight = 0.0;
   for (const Flow& f : flows_) {
-    if (f.id != kInvalidFlow) in_flight += f.finish - groups_[f.group].vtime;
+    if (f.id != kInvalidFlow) in_flight += f.finish - vtime(groups_[f.group]);
   }
   const Bytes drift =
       bytes_injected_ - (bytes_delivered_ + bytes_cancelled_ + in_flight);
@@ -424,13 +622,40 @@ bool FlowNetwork::rates_feasible() const {
   load_.assign(resources_.size(), 0.0);
   for (std::uint32_t gi : active_) {
     const Group& g = groups_[gi];
-    if (g.rate <= 0.0) continue;
+    const double rate = levels_[g.level].rate;
+    if (rate <= 0.0) continue;
     for (std::uint32_t h = 0; h < g.hops; ++h) {
-      load_[g.path[h]] += g.rate * static_cast<double>(g.count);
+      load_[g.path[h]] += rate * static_cast<double>(g.count);
     }
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     if (load_[r] > resources_[r].capacity * (1.0 + 1e-9) + 1e-9) return false;
+  }
+  return true;
+}
+
+bool FlowNetwork::rates_max_min_fair() const {
+  load_.assign(resources_.size(), 0.0);
+  fastest_.assign(resources_.size(), 0.0);
+  for (std::uint32_t gi : active_) {
+    const Group& g = groups_[gi];
+    const double rate = levels_[g.level].rate;
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      load_[g.path[h]] += rate * static_cast<double>(g.count);
+      fastest_[g.path[h]] = std::max(fastest_[g.path[h]], rate);
+    }
+  }
+  for (std::uint32_t gi : active_) {
+    const Group& g = groups_[gi];
+    const double rate = levels_[g.level].rate;
+    bool bottlenecked = false;
+    for (std::uint32_t h = 0; h < g.hops; ++h) {
+      const std::uint32_t r = g.path[h];
+      bottlenecked |=
+          load_[r] >= resources_[r].capacity * (1.0 - kFairSlack) &&
+          fastest_[r] <= rate * (1.0 + kFairSlack);
+    }
+    if (!bottlenecked) return false;
   }
   return true;
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -61,6 +62,43 @@ TEST(FlowNetwork, RejectsDegenerateFlows) {
   EXPECT_THROW(net.start_flow({link + 7}, 10.0, nullptr), Error);
   EXPECT_THROW(net.start_flow({link}, -1.0, nullptr), Error);
   EXPECT_THROW(net.set_capacity(link, -5.0), Error);
+}
+
+// An infinite capacity offers no finite fair share, so a flow crossing
+// only such resources would never be scheduled: both entry points refuse
+// it, and NaN, before any flow can depend on it.
+TEST(FlowNetwork, RejectsNonFiniteCapacities) {
+  Simulator s;
+  FlowNetwork net(s);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    try {
+      net.add_resource("fast", bad);
+      ADD_FAILURE() << "capacity " << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite capacity"), std::string::npos) << what;
+      EXPECT_NE(what.find("for fast"), std::string::npos) << what;
+    }
+  }
+  const auto link = net.add_resource("link", 100.0);
+  SimTime done_at = -1.0;
+  net.start_flow({link}, 1000.0, [&] { done_at = s.now(); });
+  for (const double bad : {inf, nan}) {
+    try {
+      net.set_capacity(link, bad);
+      ADD_FAILURE() << "capacity " << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite capacity"), std::string::npos) << what;
+      EXPECT_NE(what.find("for link"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(net.capacity(link), 100.0);
+  s.run();
+  EXPECT_DOUBLE_EQ(done_at, 10.0);
+  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 // A path of five hops cannot be built, so it never reaches the network.
