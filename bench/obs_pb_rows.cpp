@@ -5,7 +5,9 @@
 // simulated events, nanoseconds per event and how many flow-network
 // solves it made, and how many of those ran progressive filling.  The
 // screening is as long as its slowest row, so this is where its time
-// goes.
+// goes.  Every row is simulated: the rows run through a local executor
+// with its cache tiers off, so a run store armed from ACIC_CACHE_DIR is
+// neither read nor written.
 //
 //   obs_pb_rows        all 32 rows, then a total line
 //   obs_pb_rows 28     row 28 only
@@ -14,6 +16,7 @@
 #include <cstdlib>
 
 #include "acic/core/ranking.hpp"
+#include "acic/exec/executor.hpp"
 #include "acic/ior/ior.hpp"
 #include "acic/obs/metrics.hpp"
 
@@ -33,13 +36,17 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     char* end = nullptr;
     only = std::strtol(argv[1], &end, 10);
-    if (*end != '\0' || only < 0 ||
+    if (end == argv[1] || *end != '\0' || only < 0 ||
         only >= static_cast<long>(runs.size())) {
       std::fprintf(stderr, "usage: %s [row 0-%zu]\n", argv[0],
                    runs.size() - 1);
       return 2;
     }
   }
+
+  exec::ExecutorOptions pass_through;
+  pass_through.cache = false;
+  exec::Executor engine(pass_through);
 
   std::printf("%-4s %-22s %5s %9s %11s %8s %10s %11s\n", "row", "config",
               "np", "wall_s", "sim_events", "ns/event", "solves",
@@ -55,7 +62,7 @@ int main(int argc, char** argv) {
     const double full_before = counter("sim.flow.full_solves");
     const auto start = std::chrono::steady_clock::now();
     const io::RunResult r = ior::run_ior(run.workload, run.config,
-                                         run.options);
+                                         run.options, &engine);
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();

@@ -124,7 +124,7 @@ sim::Task NfsModel::metadata_op(int rank, SimTime cost) {
 }
 
 sim::Task NfsModel::open_file(int rank) {
-  co_await metadata_op(rank, kOpenCost);
+  return metadata_op(rank, kOpenCost);
 }
 
 sim::Task NfsModel::close_file(int rank) {
@@ -132,7 +132,7 @@ sim::Task NfsModel::close_file(int rank) {
   // of the transfer), but the server acks before its own disk write-back
   // completes — the dirty set may outlive the application, exactly as on
   // the paper's EC2 setup.  Only the metadata round-trip is paid here.
-  co_await metadata_op(rank, kCloseCost);
+  return metadata_op(rank, kCloseCost);
 }
 
 }  // namespace acic::fs

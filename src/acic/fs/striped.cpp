@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-#include <vector>
 
 #include "acic/common/error.hpp"
 #include "acic/simcore/join.hpp"
@@ -92,15 +90,14 @@ sim::Task StripedModel::request(int rank, Bytes bytes, bool is_write,
     co_await server_chunk(rank, start, bytes, is_write, weight_per_server);
     co_return;
   }
-  std::vector<sim::Task> chunks;
-  chunks.reserve(static_cast<std::size_t>(touched));
   const Bytes per_server = bytes / static_cast<double>(touched);
+  sim::Join chunks(sim);
   for (int i = 0; i < touched; ++i) {
     const int server = (start + i) % servers_;
-    chunks.push_back(
+    chunks.start(
         server_chunk(rank, server, per_server, is_write, weight_per_server));
   }
-  co_await sim::when_all(sim, std::move(chunks));
+  co_await chunks;
 }
 
 sim::Task StripedModel::metadata_op(int rank, SimTime cost) {
@@ -115,11 +112,11 @@ sim::Task StripedModel::metadata_op(int rank, SimTime cost) {
 }
 
 sim::Task StripedModel::open_file(int rank) {
-  co_await metadata_op(rank, costs_.open_cost);
+  return metadata_op(rank, costs_.open_cost);
 }
 
 sim::Task StripedModel::close_file(int rank) {
-  co_await metadata_op(rank, costs_.close_cost);
+  return metadata_op(rank, costs_.close_cost);
 }
 
 }  // namespace acic::fs

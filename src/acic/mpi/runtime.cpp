@@ -20,10 +20,6 @@ double Runtime::log2_ranks() const {
   return std::log2(static_cast<double>(std::max(2, cluster_.ranks())));
 }
 
-sim::Task Runtime::barrier() {
-  co_await barrier_impl_.arrive_and_wait(alpha() * log2_ranks());
-}
-
 sim::Task Runtime::send(int from, int to, Bytes bytes) {
   const sim::FlowPath path = cluster_.comm_path(from, to);
   if (path.empty()) {

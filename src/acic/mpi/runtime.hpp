@@ -30,8 +30,11 @@ class Runtime {
   double shm_bandwidth() const { return 6.0e9; }
 
   /// MPI_Barrier: every rank must call it; released together with a
-  /// log2(p) latency term.
-  sim::Task barrier();
+  /// log2(p) latency term.  Returns the barrier's own awaiter, so a
+  /// barrier costs no coroutine frame.
+  auto barrier() {
+    return barrier_impl_.arrive_and_wait(alpha() * log2_ranks());
+  }
 
   /// Point-to-point payload from `from` to `to`.  Crossing instances uses
   /// the flow network (NIC contention is real); staying on an instance

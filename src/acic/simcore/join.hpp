@@ -1,60 +1,71 @@
-// Fork/join helper for coroutine processes: run several Tasks concurrently
-// and resume the caller when every one has finished.
+// Fork/join for coroutine processes: a parent starts several child Tasks
+// on a `Join` kept in its own frame and resumes when every one has
+// finished.
+//
+// The join owns its children's frames through an intrusive list in their
+// promises, so a fan-out allocates nothing beyond the children's (pooled)
+// frames, and the children never enter the Simulator's process table.  A
+// child counts the join down at its final suspend; the last one wakes the
+// parent through one event at the current time, so the parent never runs
+// inside a child.  When the parent resumes, the join destroys the
+// children's frames and rethrows the first-started child's exception, if
+// any, in the parent; from there it propagates like any other and, if
+// nothing catches it, surfaces from Simulator::run().  A parent frame
+// destroyed mid-join (a simulation torn down early) destroys its
+// unfinished children with it.
+//
+//   sim::Join chunks(sim);
+//   for (...) chunks.start(server_chunk(...));
+//   co_await chunks;
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "acic/simcore/simulator.hpp"
-#include "acic/simcore/sync.hpp"
 #include "acic/simcore/task.hpp"
 
 namespace acic::sim {
 
-namespace detail {
+class Join {
+ public:
+  explicit Join(Simulator& sim) : sim_(sim) {}
+  Join(const Join&) = delete;
+  Join& operator=(const Join&) = delete;
+  ~Join() { destroy_children(); }
 
-/// One when_all() call's join count, kept in its own frame and awaited by
-/// it.  Children hold a raw pointer to it, which stays valid: the joiner
-/// resumes only through the event the last child schedules after its
-/// decrement, and the other children never touch the state after theirs.
-struct JoinState {
-  Simulator& sim;
-  std::size_t remaining;
-  std::coroutine_handle<> joiner;  ///< set once when_all() suspends
+  /// Start `child` at once: it runs until it first suspends (or
+  /// finishes) before start() returns.  The join owns its frame from
+  /// here on.
+  void start(Task child);
 
-  bool await_ready() const noexcept { return remaining == 0; }
-  void await_suspend(std::coroutine_handle<> h) noexcept { joiner = h; }
-  void await_resume() const noexcept {}
+  /// `co_await join` suspends until every started child has finished,
+  /// then destroys their frames and rethrows a child's exception, if
+  /// any.  With every child already finished it does not suspend.
+  auto operator co_await() noexcept {
+    struct Awaiter {
+      Join& join;
+      bool await_ready() const noexcept { return join.running_ == 0; }
+      void await_suspend(std::coroutine_handle<> parent) noexcept {
+        join.parent_ = parent;
+      }
+      void await_resume() const { join.reap(); }
+    };
+    return Awaiter{*this};
+  }
+
+ private:
+  friend void detail::child_finished(Join& join) noexcept;
+
+  /// Destroy every child's frame and rethrow the exception of the
+  /// first-started child that failed.
+  void reap();
+  void destroy_children() noexcept;
+
+  Simulator& sim_;
+  std::size_t running_ = 0;
+  std::coroutine_handle<> parent_;  ///< set once the parent suspends
+  Task::promise_type* children_ = nullptr;  ///< newest first
 };
-
-inline Task run_and_count(Task inner, JoinState* state) {
-  co_await std::move(inner);
-  // The last child wakes the joiner through the event queue (if it has
-  // suspended yet), so the joiner never runs inside a child.
-  if (--state->remaining == 0 && state->joiner) {
-    wake(state->sim, state->joiner);
-  }
-}
-
-}  // namespace detail
-
-/// Launch every task concurrently on `sim` and suspend the caller until
-/// all of them complete.  Exceptions escaping a child surface from
-/// Simulator::run() (children are detached processes).
-inline Task when_all(Simulator& sim, std::vector<Task> tasks) {
-  if (tasks.empty()) co_return;
-  if (tasks.size() == 1) {
-    // Single child: run it inline, no join bookkeeping.
-    co_await std::move(tasks.front());
-    co_return;
-  }
-  detail::JoinState state{sim, tasks.size(), {}};
-  for (auto& t : tasks) {
-    sim.spawn(detail::run_and_count(std::move(t), &state));
-  }
-  co_await state;
-}
 
 }  // namespace acic::sim

@@ -18,56 +18,56 @@ Simulator::~Simulator() {
 
 // --- Intrusive heap plumbing ----------------------------------------------
 //
-// heap_ holds arena slot indices ordered by (t, id); every move of a heap
-// entry writes the new position back into its slot's heap_pos so cancel()
-// and step() can unlink in O(log n) without searching.
+// Each heap holds arena slot indices ordered by (t, id); every move of a
+// heap entry writes the new position back into its slot's heap_pos so
+// cancel() and step() can unlink in O(log n) without searching.
 
-void Simulator::sift_up(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
+void Simulator::sift_up(Heap& heap, std::size_t pos) {
+  const std::uint32_t slot = heap[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 2;
-    if (!fires_before(slot, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    arena_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!fires_before(slot, heap[parent])) break;
+    heap[pos] = heap[parent];
+    arena_[heap[pos]].heap_pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
-  heap_[pos] = slot;
+  heap[pos] = slot;
   arena_[slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void Simulator::sift_down(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
-  const std::size_t n = heap_.size();
+void Simulator::sift_down(Heap& heap, std::size_t pos) {
+  const std::uint32_t slot = heap[pos];
+  const std::size_t n = heap.size();
   for (;;) {
     std::size_t child = 2 * pos + 1;
     if (child >= n) break;
-    if (child + 1 < n && fires_before(heap_[child + 1], heap_[child])) {
+    if (child + 1 < n && fires_before(heap[child + 1], heap[child])) {
       ++child;
     }
-    if (!fires_before(heap_[child], slot)) break;
-    heap_[pos] = heap_[child];
-    arena_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!fires_before(heap[child], slot)) break;
+    heap[pos] = heap[child];
+    arena_[heap[pos]].heap_pos = static_cast<std::uint32_t>(pos);
     pos = child;
   }
-  heap_[pos] = slot;
+  heap[pos] = slot;
   arena_[slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void Simulator::heap_remove(std::size_t pos) {
-  ACIC_DCHECK(pos < heap_.size(), "heap_remove at " << pos << " of "
-                                                    << heap_.size());
-  const std::size_t last = heap_.size() - 1;
+void Simulator::heap_remove(Heap& heap, std::size_t pos) {
+  ACIC_DCHECK(pos < heap.size(), "heap_remove at " << pos << " of "
+                                                   << heap.size());
+  const std::size_t last = heap.size() - 1;
   if (pos != last) {
-    const std::uint32_t moved = heap_[last];
-    heap_[pos] = moved;
+    const std::uint32_t moved = heap[last];
+    heap[pos] = moved;
     arena_[moved].heap_pos = static_cast<std::uint32_t>(pos);
-    heap_.pop_back();
+    heap.pop_back();
     // The moved-in entry may need to travel either direction relative to
     // the removed one's old position.
-    sift_down(pos);
-    sift_up(arena_[moved].heap_pos);
+    sift_down(heap, pos);
+    sift_up(heap, arena_[moved].heap_pos);
   } else {
-    heap_.pop_back();
+    heap.pop_back();
   }
 }
 
@@ -112,10 +112,12 @@ EventId Simulator::at(SimTime t, std::function<void()> fn) {
   EventSlot& ev = arena_[slot];
   ev.t = t;
   ev.id = id;
+  ev.far = t - now_ > kFarEventHorizon;
   ev.fn = std::move(fn);
   slot_of_.push_back(slot);
-  heap_.push_back(slot);
-  sift_up(heap_.size() - 1);
+  Heap& heap = heap_of(slot);
+  heap.push_back(slot);
+  sift_up(heap, heap.size() - 1);
   trim_window();
   return id;
 }
@@ -128,7 +130,7 @@ void Simulator::cancel(EventId id) {
   const std::uint32_t slot = slot_of_[idx];
   if (slot == kNoSlot) return;  // already fired or already cancelled
   slot_of_[idx] = kNoSlot;
-  heap_remove(arena_[slot].heap_pos);
+  heap_remove(heap_of(slot), arena_[slot].heap_pos);
   release_slot(slot);
 }
 
@@ -138,8 +140,9 @@ void Simulator::spawn(Task task) {
   // re-entrantly, which would reallocate `processes_` under a reference.
   task.start_detached();
   processes_.push_back(std::move(task));
-  // Fork-join patterns spawn short-lived children by the hundred
-  // thousand; reap the finished ones so the table stays small.
+  // Periodic work (a checkpoint dump per interval) spawns short-lived
+  // processes over a long run; reap the finished ones so the table stays
+  // small.  A fan-out's children are not spawned: their join owns them.
   if (++spawned_since_compact_ >= 4096) compact_processes();
 }
 
@@ -158,15 +161,21 @@ void Simulator::compact_processes() {
 }
 
 bool Simulator::step() {
-  if (heap_.empty()) return false;
-  const std::uint32_t slot = heap_.front();
+  const std::uint32_t slot = next_slot();
+  if (slot == kNoSlot) return false;
+  fire(slot);
+  return true;
+}
+
+void Simulator::fire(std::uint32_t slot) {
   const SimTime t = arena_[slot].t;
   const EventId id = arena_[slot].id;
+  ACIC_DCHECK(arena_[slot].heap_pos == 0, "fired event is not a heap head");
   // Move the callback out and fully unlink the event *before* invoking it:
   // the callback may schedule (reallocating arena_) or cancel re-entrantly,
   // so no reference into the arena survives past this point.
   auto fn = std::move(arena_[slot].fn);
-  heap_remove(0);
+  heap_remove(heap_of(slot), 0);
   slot_of_[window_index(id)] = kNoSlot;
   release_slot(slot);
   // Kernel invariants: virtual time never rewinds, and equal-time events
@@ -181,7 +190,6 @@ bool Simulator::step() {
   now_ = t;
   ++executed_;
   fn();
-  return true;
 }
 
 void Simulator::run() {
@@ -204,9 +212,10 @@ bool Simulator::run_until_processes_done_or(SimTime deadline) {
                                                       << " is already past ("
                                                       << now_ << ")");
   while (!all_processes_done()) {
-    if (heap_.empty()) break;            // stalled: nothing left to fire
-    if (head_time() > deadline) break;   // watchdog: out of simulated time
-    step();
+    const std::uint32_t next = next_slot();
+    if (next == kNoSlot) break;              // stalled: nothing left to fire
+    if (arena_[next].t > deadline) break;    // watchdog: out of simulated time
+    fire(next);
   }
   check_spawned_exceptions();
   return all_processes_done();
@@ -216,10 +225,11 @@ void Simulator::run_until(SimTime deadline) {
   ACIC_EXPECTS(deadline >= now_, "run_until(" << deadline
                                               << ") would rewind the clock from "
                                               << now_);
-  // The heap head is always live (cancel unlinks eagerly), so this check
-  // is exact: no event past the deadline can fire.
-  while (!heap_.empty() && head_time() <= deadline) {
-    step();
+  // Both heap heads are always live (cancel unlinks eagerly), so this
+  // check is exact: no event past the deadline can fire.
+  for (std::uint32_t next = next_slot();
+       next != kNoSlot && arena_[next].t <= deadline; next = next_slot()) {
+    fire(next);
   }
   now_ = std::max(now_, deadline);
   check_spawned_exceptions();

@@ -1,6 +1,6 @@
 // Discrete-event simulation kernel.
 //
-// A Simulator owns a virtual clock and an intrusive binary min-heap of
+// A Simulator owns a virtual clock and two intrusive binary min-heaps of
 // timestamped events.  Higher layers build two styles of logic on top of
 // it:
 //   * callback events scheduled with `at()` / `in()`, and
@@ -10,15 +10,22 @@
 // number breaks ties), which keeps runs deterministic.
 //
 // Event storage is a slot-reuse arena: each scheduled event occupies one
-// `EventSlot` whose index the heap orders by (t, id), and fired or
+// `EventSlot` whose index a heap orders by (t, id), and fired or
 // cancelled events release their slot (and its std::function's capture
 // buffer) for the next `at()`.  A steady-state simulation therefore
 // allocates no per-event queue nodes — the ~2.4 ms IOR run pushes and
 // pops hundreds of thousands of events through a handful of recycled
-// slots.  `cancel()` unlinks its event from the heap immediately
+// slots.  `cancel()` unlinks its event from its heap immediately
 // (O(log n), slot position is intrusive), so there are no tombstones:
-// the heap head is always a live event, which is what makes the deadline
-// checks in `run_until*` exact.
+// each heap's head is always a live event, which is what makes the
+// deadline checks in `run_until*` exact.
+//
+// An event due more than `kFarEventHorizon` past `now()` when it is
+// scheduled (a request's deadline timer, a fault scheduled hours ahead)
+// goes to a second heap, so the near heap that almost every step pops
+// stays shallow.  Both heaps order by (t, id) and every step
+// fires the earlier of the two heads by (t, id), so events fire in
+// exactly the order one heap would give; the horizon moves cost only.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +105,9 @@ class Simulator {
   /// Total number of events executed so far (for micro-benchmarks).
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Events currently scheduled and not yet fired or cancelled.
-  std::size_t pending_events() const { return heap_.size(); }
+  /// Events currently scheduled and not yet fired or cancelled (in
+  /// either heap).
+  std::size_t pending_events() const { return near_.size() + far_.size(); }
 
   /// Arena slots ever allocated (tests/benches: slot reuse keeps this at
   /// the simulation's peak concurrent event count, not its event total).
@@ -135,13 +143,22 @@ class Simulator {
     void await_resume() const noexcept {}
   };
 
-  /// One arena slot.  `heap_pos` is the intrusive back-pointer into
-  /// `heap_` that makes cancel() O(log n): the slot knows where it sits,
-  /// so unlinking never searches.
+  /// An event due more than this many seconds past now() when it is
+  /// scheduled sits in the far heap.  One second is past every step of
+  /// a request (microseconds to milliseconds) and short of a retry
+  /// deadline (20 s by default) or a fault schedule (hours).
+  static constexpr SimTime kFarEventHorizon = 1.0;
+
+  using Heap = std::vector<std::uint32_t>;  ///< slot indices, min on (t, id)
+
+  /// One arena slot.  `heap_pos` is the intrusive back-pointer into the
+  /// heap that `far` names, which makes cancel() O(log n): the slot knows
+  /// where it sits, so unlinking never searches.
   struct EventSlot {
     SimTime t = 0.0;
     EventId id = 0;
     std::uint32_t heap_pos = 0;
+    bool far = false;
     std::function<void()> fn;
   };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -155,11 +172,24 @@ class Simulator {
     if (ea.t != eb.t) return ea.t < eb.t;
     return ea.id < eb.id;
   }
-  SimTime head_time() const { return arena_[heap_.front()].t; }
+  /// The slot of the event that fires next, the earlier of the two heads
+  /// by (t, id); kNoSlot when no event is pending.
+  std::uint32_t next_slot() const {
+    if (near_.empty()) return far_.empty() ? kNoSlot : far_.front();
+    if (far_.empty() || fires_before(near_.front(), far_.front())) {
+      return near_.front();
+    }
+    return far_.front();
+  }
+  Heap& heap_of(std::uint32_t slot) {
+    return arena_[slot].far ? far_ : near_;
+  }
+  /// Unlink the event in `slot`, the head of its heap, and run it.
+  void fire(std::uint32_t slot);
 
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  void heap_remove(std::size_t pos);
+  void sift_up(Heap& heap, std::size_t pos);
+  void sift_down(Heap& heap, std::size_t pos);
+  void heap_remove(Heap& heap, std::size_t pos);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   /// slot_of_ index for a live id; valid only while the event is pending.
@@ -172,7 +202,7 @@ class Simulator {
 
   void check_spawned_exceptions();
   /// Drop frames of finished processes (after surfacing their errors) so
-  /// long simulations with many short-lived children stay bounded.
+  /// long simulations with many short-lived processes stay bounded.
   void compact_processes();
 
   SimTime now_ = 0.0;
@@ -184,13 +214,14 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t spawned_since_compact_ = 0;
 
-  // Event storage: arena + intrusive heap of slot indices, plus the
+  // Event storage: arena + two intrusive heaps of slot indices, plus the
   // id -> slot window that resolves cancel() handles.  Ids are issued
   // densely, so the window is a vector indexed by (id - window_base_);
   // fired/cancelled entries become kNoSlot and the dead prefix is trimmed
   // amortised-O(1) as new events are scheduled.
   std::vector<EventSlot> arena_;
-  std::vector<std::uint32_t> heap_;        // slot indices, min-heap on (t, id)
+  Heap near_;  // events due within kFarEventHorizon of their scheduling
+  Heap far_;   // events due later than that
   std::vector<std::uint32_t> free_slots_;  // recycled arena slots
   std::vector<std::uint32_t> slot_of_;     // slot_of_[id - window_base_]
   EventId window_base_ = 1;

@@ -4,11 +4,18 @@
 // test can assert that a warm path makes no heap allocation at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
+#include "acic/cloud/ioconfig.hpp"
+#include "acic/io/runner.hpp"
+#include "acic/io/workload.hpp"
 #include "acic/simcore/flow.hpp"
+#include "acic/simcore/join.hpp"
 #include "acic/simcore/simulator.hpp"
 #include "acic/simcore/sync.hpp"
 #include "acic/simcore/task.hpp"
@@ -163,5 +170,103 @@ TEST(SyncTest, WarmNotifyAllAllocatesNothing) {
   EXPECT_TRUE(s.all_processes_done());
 }
 
+Task leaf(Simulator& s) { co_await s.delay(1.0); }
+
+Task fan_out(Simulator& s, int width) {
+  Join join(s);
+  for (int i = 0; i < width; ++i) join.start(leaf(s));
+  co_await join;
+}
+
+Task fan_outs(Simulator& s, int warm, int counted, std::size_t* allocs) {
+  for (int i = 0; i < warm; ++i) co_await fan_out(s, 4);
+  arm();
+  for (int i = 0; i < counted; ++i) co_await fan_out(s, 4);
+  *allocs = disarm();
+}
+
+// A fan-out's frames (the joining parent's and its children's) come from
+// the thread's frame pool, and the join keeps its children in their own
+// promises, so a warm fan-out allocates nothing.
+TEST(JoinTest, WarmFanOutsAllocateNothing) {
+  if (!kFramePool) {
+    GTEST_SKIP() << "the frame pool is compiled out under AddressSanitizer";
+  }
+  Simulator s;
+  std::size_t allocs = 1;
+  s.spawn(fan_outs(s, 100, 1000, &allocs));
+  s.run();
+  EXPECT_TRUE(s.all_processes_done());
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 1100.0);
+}
+
 }  // namespace
 }  // namespace acic::sim
+
+namespace acic::io {
+namespace {
+
+cloud::IoConfig labelled(const std::string& label) {
+  const auto& grid = cloud::IoConfig::enumerate_candidates();
+  const auto it =
+      std::find_if(grid.begin(), grid.end(),
+                   [&](const cloud::IoConfig& c) { return c.label() == label; });
+  EXPECT_NE(it, grid.end()) << label;
+  return it == grid.end() ? cloud::IoConfig::baseline() : *it;
+}
+
+Workload iterated(int iterations) {
+  Workload w;
+  w.name = "alloc-budget";
+  w.num_processes = 64;
+  w.num_io_processes = 64;
+  w.interface = IoInterface::kPosix;
+  w.iterations = iterations;
+  w.data_size = 16.0 * MiB;
+  w.request_size = 8.0 * MiB;  // two stripes or more: striped fan-outs
+  w.op = OpMix::kReadWrite;
+  w.file_shared = true;
+  return w;
+}
+
+struct Counted {
+  std::size_t allocations;
+  std::uint64_t events;
+};
+
+Counted counted_run(const Workload& w, const cloud::IoConfig& config,
+                    const RunOptions& options) {
+  arm();
+  const RunResult r = run_workload(w, config, options);
+  return {disarm(), r.sim_events};
+}
+
+// What a run allocates must not grow with its simulated length: a warm
+// run_workload at 100 iterations makes at most a handful more
+// allocations than at 10, on an NFS server and on striped PVFS2 fan-outs,
+// with retry (a deadline timer per transfer) off and on.
+TEST(RunAllocBudget, LongerRunsAllocateNoMore) {
+  if (!sim::kFramePool) {
+    GTEST_SKIP() << "the frame pool is compiled out under AddressSanitizer";
+  }
+  for (const char* label :
+       {"pvfs.4.D.eph.4M", "pvfs.4.P.ebs.64K.cc1", "nfs.D.ebs"}) {
+    const cloud::IoConfig config = labelled(label);
+    for (const bool retry : {false, true}) {
+      RunOptions options;
+      options.tuning.retry.enabled = retry;
+      run_workload(iterated(10), config, options);  // warm the frame pool
+      const Counted short_run = counted_run(iterated(10), config, options);
+      const Counted long_run = counted_run(iterated(100), config, options);
+      EXPECT_LE(long_run.allocations, short_run.allocations + 8)
+          << label << (retry ? " with retry: " : ": ")
+          << short_run.allocations << " allocations at 10 iterations, "
+          << long_run.allocations << " at 100";
+      EXPECT_GT(long_run.events, 9 * short_run.events) << label;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace acic::io

@@ -6,6 +6,11 @@
 // event kernel, the flow solver or the RNG plumbing fails loudly.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "acic/cloud/ioconfig.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
@@ -147,6 +152,54 @@ TEST(DeterminismTest, SeededPreemptionRunsReplayBitIdentical) {
   // Non-vacuity: this seed's schedule must actually preempt the job.
   EXPECT_GT(first.preemptions, 0u);
   EXPECT_GT(first.restarts, 0u);
+}
+
+// Coroutine frames come from a per-thread pool.  Runs made on four
+// threads at once, striped fan-outs with retry armed and NFS runs, must
+// match the same runs made one after another on this thread, bit for bit.
+TEST(DeterminismTest, ConcurrentRunsMatchSerialRuns) {
+  // Long enough (tens of simulated seconds) for outages at 300/h to hit
+  // the striped runs mid-transfer.
+  Workload w = probe_workload();
+  w.data_size = 128.0 * MiB;
+  struct Job {
+    cloud::IoConfig config;
+    RunOptions options;
+  };
+  std::vector<Job> jobs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    RunOptions striped;
+    striped.seed = seed;
+    striped.fault_model.outages_per_hour = 300.0;
+    striped.tuning.retry.enabled = true;
+    striped.tuning.retry.request_timeout = 5.0;
+    jobs.push_back({pvfs_config(), striped});
+    RunOptions nfs;
+    nfs.seed = seed;
+    jobs.push_back({nfs_config(), nfs});
+  }
+  std::vector<RunResult> serial;
+  for (const Job& job : jobs) {
+    serial.push_back(run_workload(w, job.config, job.options));
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<RunResult> concurrent(jobs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < jobs.size(); i += kThreads) {
+        concurrent[i] = run_workload(w, jobs[i].config, jobs[i].options);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::uint64_t retries = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].config.label());
+    expect_bit_identical(serial[i], concurrent[i]);
+    retries += serial[i].retries;
+  }
+  EXPECT_GT(retries, 0u);  // non-vacuity: timed-out transfers were re-sent
 }
 
 TEST(DeterminismTest, SeedChangesTheOutcome) {

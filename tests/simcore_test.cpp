@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "acic/common/error.hpp"
+#include "acic/common/rng.hpp"
+#include "acic/simcore/join.hpp"
 #include "acic/simcore/simulator.hpp"
 #include "acic/simcore/sync.hpp"
 
@@ -232,6 +236,129 @@ TEST(Simulator, HeapSurvivesInterleavedScheduleCancelChurn) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_EQ(fired.size(), s.events_executed());
   EXPECT_EQ(s.pending_events(), 0u);
+}
+
+// Events due more than a second past now() sit in a second heap.  A far
+// event and a near one due at the same instant can only have been issued
+// in that order (the near one was scheduled later, closer to the
+// instant), and the far one fires first, as one heap would fire it.
+TEST(Simulator, FarEventIssuedFirstFiresBeforeANearOneAtTheSameInstant) {
+  Simulator s;
+  std::vector<int> order;
+  s.at(5.0, [&] { order.push_back(1); });  // 5 s ahead: the far heap
+  s.at(4.5, [&] {
+    s.at(5.0, [&] { order.push_back(2); });  // 0.5 s ahead: the near heap
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_DOUBLE_EQ(s.now(), 5.0);
+}
+
+TEST(Simulator, RunUntilFiresAnEventWaitingOnlyInTheFarHeap) {
+  Simulator s;
+  bool fired = false;
+  s.at(10.0, [&] { fired = true; });  // the far heap; the near one is empty
+  s.run_until(9.0);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(s.now(), 9.0);
+  s.run_until(10.0);  // now 1 s short of it, but the event stays far
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_DOUBLE_EQ(s.now(), 10.0);
+}
+
+TEST(Simulator, FarCancelsLeaveBothHeapsCountedAndTheArenaBounded) {
+  Simulator s;
+  std::vector<EventId> far;
+  for (int i = 0; i < 8; ++i) {
+    s.at(0.25 * i, [] {});               // near
+    far.push_back(s.at(30.0 + i, [] {}));  // far
+  }
+  EXPECT_EQ(s.pending_events(), 16u);
+  EXPECT_EQ(s.event_arena_slots(), 16u);
+  for (const EventId id : far) s.cancel(id);
+  EXPECT_EQ(s.pending_events(), 8u);
+  // Far schedule/cancel churn (a request's deadline timer, cancelled by
+  // its completion) reuses the cancelled slots.
+  for (int i = 0; i < 10000; ++i) s.cancel(s.at(20.0 + i, [] {}));
+  EXPECT_EQ(s.pending_events(), 8u);
+  EXPECT_EQ(s.event_arena_slots(), 16u);
+  s.run();
+  EXPECT_EQ(s.events_executed(), 8u);
+  EXPECT_DOUBLE_EQ(s.now(), 1.75);
+}
+
+// Seeded churn over both heaps against a multimap keyed by (t, id):
+// 20,000 operations, each a schedule (a delay on either side of the
+// horizon, or an instant already pending), a cancel (of a pending or a
+// stale id), a step or a run_until.  Every firing must be the multimap's
+// first entry.
+TEST(Simulator, TwoHeapsFireExactlyInTimeThenIssueOrder) {
+  Simulator s;
+  Rng rng(20261021);
+  std::multimap<std::pair<SimTime, EventId>, int> pending;
+  std::vector<std::pair<SimTime, EventId>> issued;  // by tag
+  std::size_t fired = 0;
+  std::size_t mismatches = 0;
+  auto on_fire = [&](int tag) {
+    ++fired;
+    if (pending.empty() || pending.begin()->second != tag ||
+        pending.begin()->first.first != s.now()) {
+      ++mismatches;
+      return;
+    }
+    pending.erase(pending.begin());
+  };
+  std::size_t near = 0;
+  std::size_t far = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const double r = rng.uniform();
+    if (r < 0.45) {
+      SimTime t = s.now();
+      const double kind = rng.uniform();
+      if (kind < 0.35) {
+        t = s.now() + rng.uniform(0.0, 0.9);
+      } else if (kind < 0.70) {
+        t = s.now() + rng.uniform(1.1, 30.0);
+      } else if (kind < 0.90 && !pending.empty()) {
+        // An instant already pending, in either heap.
+        const auto& key = std::next(pending.begin(),
+                                    static_cast<std::ptrdiff_t>(
+                                        rng.uniform_index(pending.size())))
+                              ->first;
+        t = key.first;
+      }
+      const int tag = static_cast<int>(issued.size());
+      const EventId id = s.at(t, [&on_fire, tag] { on_fire(tag); });
+      issued.emplace_back(t, id);
+      pending.emplace(std::make_pair(t, id), tag);
+      (t - s.now() > 1.0 ? far : near) += 1;
+    } else if (r < 0.70) {
+      if (issued.empty()) continue;
+      const auto& key = issued[rng.uniform_index(issued.size())];
+      s.cancel(key.second);
+      if (auto it = pending.find(key); it != pending.end()) pending.erase(it);
+    } else if (r < 0.90) {
+      const bool any_pending = !pending.empty();
+      EXPECT_EQ(s.step(), any_pending);
+    } else {
+      const SimTime deadline = s.now() + rng.uniform(0.0, 3.0);
+      s.run_until(deadline);
+      EXPECT_DOUBLE_EQ(s.now(), deadline);
+      if (!pending.empty()) {
+        EXPECT_GT(pending.begin()->first.first, deadline);
+      }
+    }
+    EXPECT_EQ(s.pending_events(), pending.size());
+  }
+  s.run();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(fired, s.events_executed());
+  // Both sides of the horizon were exercised.
+  EXPECT_GT(near, 2000u);
+  EXPECT_GT(far, 2000u);
 }
 
 Task delayed_append(Simulator& s, std::vector<int>& out, SimTime dt, int tag) {
@@ -557,6 +684,159 @@ TEST(SyncTest, BarrierIsReusable) {
   s.run();
   EXPECT_EQ(phases, 4);
   EXPECT_TRUE(s.all_processes_done());
+}
+
+/// Counts the destruction of the coroutine frame that holds it.  A
+/// by-value coroutine parameter is moved into the frame and lives as long
+/// as the frame; the caller's moved-from argument counts nothing.
+class FrameProbe {
+ public:
+  explicit FrameProbe(int* destroyed) : destroyed_(destroyed) {}
+  FrameProbe(FrameProbe&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  FrameProbe(const FrameProbe&) = delete;
+  FrameProbe& operator=(const FrameProbe&) = delete;
+  FrameProbe& operator=(FrameProbe&&) = delete;
+  ~FrameProbe() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+
+ private:
+  int* destroyed_;
+};
+
+Task probed_child(Simulator& s, SimTime dt, [[maybe_unused]] FrameProbe probe,
+                  bool fail = false) {
+  if (dt > 0.0) co_await s.delay(dt);
+  if (fail) throw Error("child failed");
+}
+
+/// Starts children that finish after 1, 2, ... `width` seconds, then
+/// records, on resuming, how many child frames are gone and how many
+/// events have run.
+Task join_children(Simulator& s, int width, int* destroyed,
+                   int* destroyed_at_resume,
+                   std::uint64_t* events_at_resume) {
+  Join join(s);
+  for (int i = 0; i < width; ++i) {
+    join.start(probed_child(s, 1.0 + i, FrameProbe(destroyed)));
+  }
+  co_await join;
+  *destroyed_at_resume = *destroyed;
+  *events_at_resume = s.events_executed();
+}
+
+// Finished children keep their frames until the parent resumes; the join
+// destroys them then.  Three children end at 1, 2 and 3 s; the last one
+// wakes the parent through one more event at 3 s.
+TEST(JoinTest, ChildFramesAreDestroyedWhenTheJoinCompletes) {
+  Simulator s;
+  int destroyed = 0;
+  int destroyed_at_resume = -1;
+  std::uint64_t events_at_resume = 0;
+  s.spawn(join_children(s, 3, &destroyed, &destroyed_at_resume,
+                        &events_at_resume));
+  s.run_until(2.5);
+  EXPECT_EQ(destroyed, 0);  // two children done, their frames still owned
+  s.run();
+  EXPECT_EQ(destroyed_at_resume, 3);
+  EXPECT_EQ(events_at_resume, 4u);
+  EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  EXPECT_TRUE(s.all_processes_done());
+}
+
+Task join_same_instant(Simulator& s, int width, int* destroyed,
+                       std::uint64_t* events_at_resume) {
+  Join join(s);
+  for (int i = 0; i < width; ++i) {
+    join.start(probed_child(s, 1.0, FrameProbe(destroyed)));
+  }
+  co_await join;
+  *events_at_resume = s.events_executed();
+}
+
+Task join_finished_children(Simulator& s, int* destroyed, bool* resumed) {
+  Join join(s);
+  for (int i = 0; i < 3; ++i) {
+    join.start(probed_child(s, 0.0, FrameProbe(destroyed)));
+  }
+  EXPECT_EQ(*destroyed, 0);  // finished, but still owned by the join
+  co_await join;  // every child already finished: no suspension
+  *resumed = true;
+}
+
+TEST(JoinTest, LastChildWakesTheParentThroughExactlyOneEvent) {
+  Simulator s;
+  int destroyed = 0;
+  std::uint64_t events_at_resume = 0;
+  s.spawn(join_same_instant(s, 4, &destroyed, &events_at_resume));
+  s.run();
+  // Four child delays at 1 s, then the wake.
+  EXPECT_EQ(events_at_resume, 5u);
+  EXPECT_EQ(s.events_executed(), 5u);
+  EXPECT_EQ(destroyed, 4);
+
+  // Children that finish inside start() leave nothing to wait for.
+  Simulator t;
+  bool resumed = false;
+  destroyed = 0;
+  t.spawn(join_finished_children(t, &destroyed, &resumed));
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(destroyed, 3);
+  EXPECT_EQ(t.pending_events(), 0u);
+  t.run();
+  EXPECT_EQ(t.events_executed(), 0u);
+}
+
+Task join_failing_child(Simulator& s, int* destroyed, bool catch_it,
+                        bool* caught) {
+  Join join(s);
+  join.start(probed_child(s, 1.0, FrameProbe(destroyed)));
+  join.start(probed_child(s, 2.0, FrameProbe(destroyed), /*fail=*/true));
+  join.start(probed_child(s, 3.0, FrameProbe(destroyed)));
+  if (!catch_it) {
+    co_await join;
+    co_return;
+  }
+  try {
+    co_await join;
+  } catch (const Error&) {
+    *caught = true;
+  }
+}
+
+TEST(JoinTest, ChildExceptionSurfacesFromRun) {
+  Simulator s;
+  int destroyed = 0;
+  s.spawn(join_failing_child(s, &destroyed, /*catch_it=*/false, nullptr));
+  EXPECT_THROW(s.run(), Error);
+  // The parent waited for every child before rethrowing.
+  EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  EXPECT_EQ(destroyed, 3);
+
+  // ...and the parent can catch it at the join.
+  Simulator t;
+  bool caught = false;
+  destroyed = 0;
+  t.spawn(join_failing_child(t, &destroyed, /*catch_it=*/true, &caught));
+  t.run();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(destroyed, 3);
+}
+
+TEST(JoinTest, ParentDestroyedMidJoinDestroysItsChildren) {
+  int destroyed = 0;
+  int destroyed_at_resume = -1;
+  std::uint64_t events_at_resume = 0;
+  {
+    Simulator s;
+    s.spawn(join_children(s, 3, &destroyed, &destroyed_at_resume,
+                          &events_at_resume));
+    s.run_until(1.5);  // one child finished, two suspended in delays
+    EXPECT_EQ(destroyed, 0);
+  }  // tearing the simulator down destroys the parent mid-join
+  EXPECT_EQ(destroyed, 3);
+  EXPECT_EQ(destroyed_at_resume, -1);  // the parent never resumed
 }
 
 }  // namespace
